@@ -19,8 +19,8 @@ import numpy as np
 from .chains import save_chain, save_state
 from .evaluation import MaskError, generate_coupled, heldout_loglik
 from .expfam import ConjugateHyper, DomainError, SupportError
-from .experiments import (RECIPES, make_recipe_config, run_beta_sweep,
-                          write_rows_csv)
+from .experiments import (RECIPES, coerce_fields, make_recipe_config,
+                          run_beta_sweep, write_rows_csv)
 from .gibecca import GibeccaOptions, ProposalError, StageError, run_gibecca
 from .hmc_infer import ChainError, ExchangeOptions, HmcOptions, run_hmc_chain
 from .map_infer import FitError, FoldInError, MapOptions, fit_map
@@ -111,30 +111,12 @@ def build_options(engine, d, path="options", seed=None):
                           f"{sorted(_OPTION_CLASSES)}, got {engine!r}")
     cls = _OPTION_CLASSES[engine]
     d = dict(_as_dict(d, path)) if d is not None else {}
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
     exchange = d.pop("exchange", None)
-    for key, value in d.items():
-        if key not in fields or key in _UNSETTABLE:
-            raise ConfigError(f"{path}.{key}: unknown field for engine "
-                              f"{engine}")
-        kind = fields[key].type
-        try:
-            if kind == "int":
-                value = int(value)
-            elif kind == "float":
-                value = float(value)
-            elif kind == "bool":
-                value = bool(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.{key}: {exc}") from exc
-        kwargs[key] = value
+    kwargs = coerce_fields(cls, d, path, f"engine {engine}", _UNSETTABLE)
     if engine == "hmc" and exchange is not None:
-        exchange = _as_dict(exchange, f"{path}.exchange")
-        _no_unknown(exchange, {"inner_sweeps", "prop_scale"},
-                    f"{path}.exchange")
-        kwargs["exchange"] = _wrap(f"{path}.exchange", ExchangeOptions,
-                                   **exchange)
+        sub = f"{path}.exchange"
+        kwargs["exchange"] = _wrap(sub, ExchangeOptions, **coerce_fields(
+            ExchangeOptions, _as_dict(exchange, sub), sub, "exchange"))
     elif exchange is not None:
         raise ConfigError(f"{path}.exchange: only the hmc engine takes "
                           "exchange options")

@@ -69,14 +69,11 @@ def generate_coupled(layout: BlockLayout, n_train: int, n_test=0, seed=0,
     x = np.empty_like(theta)
     for i, fam in enumerate(layout.families):
         cols = layout.cols_view[i]
-        block = theta[:, cols]
-        if fam.name == "exponential":
-            # keep the half-line domain; magnitude still carries the factors
-            block = -np.abs(block) - 0.1
+        block = fam.to_domain(theta[:, cols])
         theta[:, cols] = block
         x[:, cols] = fam.sample(block, rng)
     obs = ObservationSet(x, np.ones(x.shape, dtype=bool),
-                         layout.view_widths, layout.families, layout.alpha)
+                         layout.view_widths, layout.families)
     labels = (u[:, 0] > 0).astype(float)
     test = obs.subset_rows(np.arange(n_train, n_rows)) if n_test else None
     return CoupledData(obs.subset_rows(np.arange(n_train)), test, labels,

@@ -306,7 +306,7 @@ class CcaKnnConfig:
 def _gaussian_view(obs: ObservationSet) -> ObservationSet:
     gau = get_family("gaussian")
     return ObservationSet(obs.x, obs.observed, obs.view_widths,
-                          (gau,) * len(obs.families), obs.alpha)
+                          (gau,) * len(obs.families))
 
 
 def _cca_replicate(args):
@@ -465,30 +465,39 @@ RECIPES = {
 }
 
 
+_CASTS = {"int": int, "float": float,
+          "tuple": lambda v: tuple(v) if not np.isscalar(v) else (v,)}
+
+
+def coerce_fields(cls, values, path, owner, unsettable=()):
+    """Keyword arguments for dataclass cls from JSON values.
+
+    Names must be settable fields of cls; values are coerced by the
+    field's annotation (int, float, tuple), and a bool field takes only a
+    JSON boolean.  Errors name the field as path.key.
+    """
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in values.items():
+        if key not in kinds or key in unsettable:
+            raise ConfigError(f"{path}.{key}: unknown field for {owner}")
+        if kinds[key] == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{path}.{key}: expected true or false, "
+                              f"got {value!r}")
+        try:
+            kwargs[key] = _CASTS.get(kinds[key], lambda v: v)(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}.{key}: {exc}") from exc
+    return kwargs
+
+
 def make_recipe_config(name, overrides=None, seed=None):
     """Instantiate a recipe config, checking override names and types."""
     if name not in RECIPES:
         raise ConfigError(f"unknown recipe {name!r}; expected one of "
                           f"{sorted(RECIPES)}")
     cls = RECIPES[name][0]
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in (overrides or {}).items():
-        if key not in fields:
-            raise ConfigError(f"overrides.{key}: unknown field for {name}")
-        kind = fields[key].type
-        try:
-            if kind == "int":
-                value = int(value)
-            elif kind == "float":
-                value = float(value)
-            elif kind == "bool":
-                value = bool(value)
-            elif kind == "tuple":
-                value = tuple(value) if not np.isscalar(value) else (value,)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"overrides.{key}: {exc}") from exc
-        kwargs[key] = value
+    kwargs = coerce_fields(cls, overrides or {}, "overrides", name)
     if seed is not None:
         kwargs["seed"] = int(seed)
     return cls(**kwargs)

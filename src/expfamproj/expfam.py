@@ -104,10 +104,6 @@ class Family:
         """log p(x | theta) = x*theta + h(x) - g(theta)."""
         self._require_support(x)
         self._require_domain(theta)
-        return self.log_pdf_unchecked(x, theta)
-
-    def log_pdf_unchecked(self, x, theta):
-        # hot path for the likelihood; caller has already validated
         return np.asarray(x) * np.asarray(theta) + self._h(x) - self._g(theta)
 
     def conj_log_kernel(self, theta, hyper: ConjugateHyper):
@@ -123,6 +119,20 @@ class Family:
     def validate_hyper(self, hyper: ConjugateHyper):
         """Raise ValueError if (lam, nu) is not admissible for this family."""
         # nu > 0 is already enforced by ConjugateHyper
+
+    # starting points ------------------------------------------------------
+
+    def moment_match(self, xbar, n_obs):
+        """In-domain natural parameter matched to a mean of n_obs draws."""
+        return xbar
+
+    def start_entries(self, theta, x, observed, rng: np.random.Generator):
+        """Refine a moment-matched starting Theta block entry by entry."""
+        return theta
+
+    def to_domain(self, theta):
+        """Map an unconstrained draw into the domain (identity here)."""
+        return theta
 
     # internals ------------------------------------------------------------
 
@@ -172,6 +182,14 @@ class BernoulliLogit(Family):
         p = special.expit(theta)
         return (rng.random(size=np.shape(theta)) < p).astype(float)
 
+    def moment_match(self, xbar, n_obs):
+        p = (xbar * n_obs + 1.0) / (n_obs + 2.0)  # add-one smoothing
+        return special.logit(p)
+
+    def start_entries(self, theta, x, observed, rng):
+        # small noise so identical columns do not start perfectly tied
+        return theta + 0.1 * rng.standard_normal(x.shape)
+
     def validate_hyper(self, hyper):
         if not (0.0 < hyper.lam < hyper.nu):
             raise ValueError(
@@ -209,6 +227,12 @@ class PoissonLog(Family):
             raise ValueError("poisson rate too large to sample")
         return rng.poisson(rate, size=np.shape(theta)).astype(float)
 
+    def moment_match(self, xbar, n_obs):
+        return np.log(xbar + 0.5)
+
+    def start_entries(self, theta, x, observed, rng):
+        return np.where(observed, np.log(x + 0.5), theta)
+
 
 class GaussianUnitVariance(Family):
     """x real with unit variance, theta the mean, g(theta) = theta^2 / 2."""
@@ -234,6 +258,9 @@ class GaussianUnitVariance(Family):
 
     def _sample(self, theta, rng):
         return np.asarray(theta, dtype=float) + rng.standard_normal(np.shape(theta))
+
+    def start_entries(self, theta, x, observed, rng):
+        return np.where(observed, x, theta)
 
 
 class ExponentialRate(Family):
@@ -265,6 +292,16 @@ class ExponentialRate(Family):
     def _sample(self, theta, rng):
         scale = -1.0 / np.asarray(theta, dtype=float)
         return rng.exponential(scale, size=np.shape(theta))
+
+    def moment_match(self, xbar, n_obs):
+        return np.maximum(-1.0 / (xbar + 1e-8), -1e6)
+
+    def start_entries(self, theta, x, observed, rng):
+        return np.minimum(theta, -1e-6)
+
+    def to_domain(self, theta):
+        # reflect onto the half-line; the magnitude still carries the factors
+        return -np.abs(theta) - 0.1
 
 
 BERNOULLI = BernoulliLogit()

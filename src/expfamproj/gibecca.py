@@ -68,13 +68,6 @@ class GaussianStageState:
     sigma_chol: np.ndarray = field(default=None, repr=False)
 
 
-def _col_resid(layout: BlockLayout, resid):
-    out = np.empty(layout.d_total)
-    for i in range(layout.n_views):
-        out[layout.cols_view[i]] = resid[i]
-    return out
-
-
 def _inv_gamma(rng, shape, scale):
     return scale / rng.gamma(shape)
 
@@ -160,7 +153,7 @@ def gibbs_gaussian_stage(theta: np.ndarray, layout: BlockLayout,
     var_u = stage.var_u.copy()
     var_v = stage.var_v.copy()
     resid = stage.resid.copy()
-    r_col = _col_resid(layout, resid)
+    r_col = np.repeat(resid, layout.view_widths[:layout.n_views])
 
     # U | theta, V: shared precision across rows
     a = v / r_col                                   # K x D, V R^{-1}
@@ -229,26 +222,8 @@ def mh_accept_elements(obs: ObservationSet, theta_old: np.ndarray,
     always rejected; unobserved entries have no likelihood term and accept
     whenever the proposal is in-domain.
     """
-    log_r = np.zeros_like(theta_old)
-    in_dom = np.ones(theta_old.shape, dtype=bool)
-    for i, fam in enumerate(obs.families):
-        cols = obs.view_cols(i)
-        old = theta_old[:, cols]
-        star = theta_star[:, cols]
-        dom = fam.in_domain(star)
-        in_dom[:, cols] = dom
-        safe = np.where(dom, star, old)
-        x_blk = obs.x[:, cols]
-        delta = np.where(obs.observed[:, cols],
-                         fam.log_pdf_unchecked(x_blk, safe)
-                         - fam.log_pdf_unchecked(x_blk, old), 0.0)
-        if spec.beta > 0:
-            hyp = spec.hyper_for_view(i)
-            delta = delta + spec.beta * (hyp.lam * (safe - old)
-                                         - hyp.nu * (fam._g(safe)
-                                                     - fam._g(old)))
-        log_r[:, cols] = delta
-    accept = in_dom & (np.log(rng.random(theta_old.shape)) < log_r)
+    log_r = spec.entry_terms(None, obs).log_ratio(theta_old, theta_star)
+    accept = np.log(rng.random(theta_old.shape)) < log_r
     return np.where(accept, theta_star, theta_old), accept
 
 
@@ -257,23 +232,13 @@ def init_theta(obs: ObservationSet, layout: BlockLayout,
     """Moment-matched starting Theta, in-domain for every family.
 
     Columns start at the moment-matched natural parameter of their column
-    mean; Poisson and Gaussian entries use the entrywise match where
-    observed (log(x + 0.5) and x respectively); Bernoulli columns get
-    small noise so identical columns do not start perfectly tied.
+    mean, then each family refines its block (Family.start_entries).
     """
     theta = np.tile(moment_matched_row(obs, layout), (obs.n_rows, 1))
     for i, fam in enumerate(layout.families):
         cols = layout.cols_view[i]
-        x_blk, m_blk = obs.x[:, cols], obs.observed[:, cols]
-        if fam.name == "poisson":
-            theta[:, cols] = np.where(m_blk, np.log(x_blk + 0.5),
-                                      theta[:, cols])
-        elif fam.name == "gaussian":
-            theta[:, cols] = np.where(m_blk, x_blk, theta[:, cols])
-        elif fam.name == "bernoulli":
-            theta[:, cols] += 0.1 * rng.standard_normal(x_blk.shape)
-        elif fam.name == "exponential":
-            theta[:, cols] = np.minimum(theta[:, cols], -1e-6)
+        theta[:, cols] = fam.start_entries(theta[:, cols], obs.x[:, cols],
+                                           obs.observed[:, cols], rng)
     return theta
 
 

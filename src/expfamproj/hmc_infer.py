@@ -19,9 +19,8 @@ import numpy as np
 
 from .chains import Chain
 from .model import (BlockLayout, ConfigError, FactorState, ObservationSet,
-                    log_likelihood)
-from .map_infer import FreeParams, _check_obs_layout, init_state, \
-    posterior_logp_and_grad
+                    assemble_theta, log_likelihood)
+from .map_infer import FreeParams, _check_obs_layout, init_state
 from .prior import PriorSpec, gaussian_block_terms, log_prior_unnorm
 
 TARGET_ACCEPT = 0.75
@@ -98,16 +97,7 @@ def hmc_step(state: FactorState, obs: ObservationSet, layout: BlockLayout,
     rejects the trajectory.  Pass a FreeParams with fix_v to sample U only.
     """
     free = free or FreeParams(layout, state)
-
-    def fn(x):
-        logp, gu, gv, gm = posterior_logp_and_grad(free.unpack(x), obs,
-                                                   layout, spec)
-        if not np.isfinite(logp):
-            return -np.inf, None
-        ll = free.pack_grad(gu, gv, gm if gm is not None
-                            else np.zeros(layout.d_total))
-        return logp, ll
-
+    fn = free.log_density(obs, spec)
     x = free.pack(state)
     logp, grad = fn(x)
     if grad is None:
@@ -171,22 +161,6 @@ def _propose_block(spec: PriorSpec, layout: BlockLayout, block: str,
     raise ValueError(f"unknown hyperparameter block {block!r}")
 
 
-def _conj_term(state, spec, layout):
-    """beta-weighted conjugate part of the log prior, -inf out of domain."""
-    if spec.beta == 0:
-        return 0.0
-    from .model import assemble_theta
-    theta = assemble_theta(state, layout)
-    total = 0.0
-    for i, fam in enumerate(layout.families):
-        block = theta[:, layout.cols_view[i]]
-        if not np.all(fam.in_domain(block)):
-            return -np.inf
-        hyp = spec.hyper_for_view(i)
-        total += float(np.sum(hyp.lam * block - hyp.nu * fam._g(block)))
-    return spec.beta * total
-
-
 def sample_prior_approx(spec: PriorSpec, layout: BlockLayout, n_rows: int,
                         rng: np.random.Generator,
                         opts: ExchangeOptions = None, mean_row=None):
@@ -207,28 +181,28 @@ def sample_prior_approx(spec: PriorSpec, layout: BlockLayout, n_rows: int,
     sd_u = np.sqrt(su / spec.gamma)
     sd_v = np.sqrt(sv / spec.gamma)
     k, d = layout.k_total, layout.d_total
+    kernel = spec.entry_terms(layout)
 
     def draw():
         u = sd_u * rng.standard_normal((n_rows, k))
         v = sd_v[:, None] * rng.standard_normal((k, d))
         v[layout.zero_mask] = 0.0
-        return FactorState(u, v, mean_row)
+        state = FactorState(u, v, mean_row)
+        # beta-weighted conjugate part of the log prior, -inf out of domain
+        return state, kernel.value(assemble_theta(state, layout))
 
-    state = draw()
-    conj = _conj_term(state, spec, layout)
+    state, conj = draw()
     for _ in range(50):
         if np.isfinite(conj):
             break
-        state = draw()
-        conj = _conj_term(state, spec, layout)
+        state, conj = draw()
     else:
         return state, True
 
     trace = np.empty(opts.inner_sweeps)
     n_accept = 0
     for s in range(opts.inner_sweeps):
-        cand = draw()
-        conj_c = _conj_term(cand, spec, layout)
+        cand, conj_c = draw()
         if np.log(rng.random()) < conj_c - conj:
             state, conj = cand, conj_c
             n_accept += 1
@@ -305,18 +279,7 @@ def run_hmc_chain(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
         state.v = np.asarray(opts.fix_v, dtype=float).copy()
     state.validate(layout)
     free = FreeParams(layout, state, fix_v=opts.fix_v is not None)
-
-    def make_fn(current_spec):
-        def fn(x):
-            logp, gu, gv, gm = posterior_logp_and_grad(
-                free.unpack(x), obs, layout, current_spec)
-            if not np.isfinite(logp):
-                return -np.inf, None
-            return logp, free.pack_grad(gu, gv, gm if gm is not None
-                                        else np.zeros(layout.d_total))
-        return fn
-
-    fn = make_fn(spec)
+    fn = free.log_density(obs, spec)
     x = free.pack(state)
     logp, grad = fn(x)
     if grad is None:
@@ -355,7 +318,7 @@ def run_hmc_chain(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
             exch_stats["accepted"] += info["accepted"]
             exch_stats["flagged"] += info["flagged"]
             if info["accepted"]:
-                fn = make_fn(spec)
+                fn = free.log_density(obs, spec)
                 logp, grad = fn(x)
 
         if not in_burn and (sweep - opts.burn_in) % opts.thin == 0:

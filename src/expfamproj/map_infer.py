@@ -6,10 +6,10 @@ The MAP objective is the negative unnormalised log posterior
 
 minimised by conjugate gradients over the free coordinates (all of U, the
 unmasked entries of V, and the mean row when the layout has one).  The
-likelihood and the conjugate prior term are fused into one pass that fills
-full N x D buffers blockwise and reduces them with a single sum each, so
-that a two-view layout with unit alpha produces bit-identical numbers to
-the equivalent single-view layout.
+likelihood and the conjugate prior term come together from the model's
+EntryTerms, whose N x D value matrix is reduced by a single sum, so that a
+two-view layout with unit alpha produces bit-identical numbers to the
+equivalent single-view layout.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
                     ObservationSet, assemble_theta, log_pdf_sum_at)
 from .optimize import minimize_cg
-from .prior import PriorSpec, col_conj_params, gaussian_block_terms
+from .prior import PriorSpec, gaussian_block_terms
 
 
 class FitError(RuntimeError):
@@ -79,7 +78,7 @@ class FreeParams:
             mean = self.template.mean_row
         return FactorState(u, v, mean)
 
-    def pack_grad(self, grad_u, grad_v, grad_mean) -> np.ndarray:
+    def pack_grad(self, grad_u, grad_v, grad_mean=None) -> np.ndarray:
         parts = [grad_u.ravel()]
         if not self.fix_v:
             parts.append(grad_v.ravel()[self.v_free_idx])
@@ -87,9 +86,20 @@ class FreeParams:
             parts.append(grad_mean)
         return np.concatenate(parts)
 
+    def log_density(self, obs: ObservationSet, spec: PriorSpec):
+        """x -> (log posterior, its packed gradient) over the free
+        coordinates; (-inf, None) at infeasible points."""
+        def fn(x):
+            logp, gu, gv, gm = posterior_logp_and_grad(
+                self.unpack(x), obs, self.layout, spec)
+            if not np.isfinite(logp):
+                return -np.inf, None
+            return logp, self.pack_grad(gu, gv, gm)
+        return fn
+
 
 # ---------------------------------------------------------------------------
-# fused posterior value and gradient
+# posterior value and gradient
 
 def posterior_logp_and_grad(state: FactorState, obs: ObservationSet,
                             layout: BlockLayout, spec: PriorSpec,
@@ -106,33 +116,12 @@ def posterior_logp_and_grad(state: FactorState, obs: ObservationSet,
 
 
 def _logp_and_grad_raw(state, obs, layout, spec, want_grad):
-    theta = assemble_theta(state, layout)
-    col_alpha = layout.col_alpha()
-    beta, gamma = spec.beta, spec.gamma
-    if beta > 0:
-        lam_col, nu_col = col_conj_params(spec, layout)
-
-    contrib = np.empty_like(theta)   # per-entry log terms, filled blockwise
-    w = np.empty_like(theta) if want_grad else None  # d logp / d theta
-    for i, fam in enumerate(layout.families):
-        cols = layout.cols_view[i]
-        block = theta[:, cols]
-        if not np.all(fam.in_domain(block)):
-            return -np.inf, None, None, None
-        g = fam._g(block)
-        mu = fam._gprime(block)
-        x_blk = obs.x[:, cols]
-        m_blk = obs.observed[:, cols]
-        ll = np.where(m_blk, x_blk * block + fam._h(x_blk) - g, 0.0)
-        ll = ll * col_alpha[cols]
-        if beta > 0:
-            ll = ll + beta * (lam_col[cols] * block - nu_col[cols] * g)
-        contrib[:, cols] = ll
-        if want_grad:
-            wb = np.where(m_blk, x_blk - mu, 0.0) * col_alpha[cols]
-            if beta > 0:
-                wb = wb + beta * (lam_col[cols] - nu_col[cols] * mu)
-            w[:, cols] = wb
+    out = spec.entry_terms(layout, obs).terms(assemble_theta(state, layout),
+                                              want_grad)
+    if out is None:
+        return -np.inf, None, None, None
+    contrib, w = out   # per-entry log terms and d logp / d theta
+    gamma = spec.gamma
 
     logp = float(np.sum(contrib))
     grad_u = grad_v = grad_mean = None
@@ -161,25 +150,11 @@ def _logp_and_grad_raw(state, obs, layout, spec, want_grad):
     return logp, grad_u, grad_v, grad_mean
 
 
-def objective_value_and_grad(state, obs, layout, spec):
-    """Negative log posterior and gradients, +inf when infeasible."""
-    logp, gu, gv, gm = posterior_logp_and_grad(state, obs, layout, spec)
-    if not np.isfinite(logp):
-        return np.inf, None, None, None
-    return -logp, -gu, -gv, (None if gm is None else -gm)
-
-
-def _make_fun_and_grad(obs, layout, spec, free: FreeParams):
-    zeros = np.zeros(free.size)
-
+def _objective(log_density):
+    """Negative log posterior for minimize_cg, +inf where infeasible."""
     def fun_and_grad(x):
-        state = free.unpack(x)
-        logp, gu, gv, gm = posterior_logp_and_grad(state, obs, layout, spec)
-        if not np.isfinite(logp):
-            return np.inf, zeros
-        return -logp, -free.pack_grad(gu, gv, gm if gm is not None
-                                      else np.zeros(layout.d_total))
-
+        logp, grad = log_density(x)
+        return (np.inf, None) if grad is None else (-logp, -grad)
     return fun_and_grad
 
 
@@ -192,24 +167,13 @@ def moment_matched_row(obs: ObservationSet, layout: BlockLayout) -> np.ndarray:
     Keeps the initial Theta inside the family domain, which matters for
     families with a restricted domain (the exponential family's half-line).
     """
-    d = layout.d_total
-    row = np.zeros(d)
+    row = np.zeros(layout.d_total)
     for i, fam in enumerate(layout.families):
         cols = layout.cols_view[i]
         x_blk, m_blk = obs.x[:, cols], obs.observed[:, cols]
         n_obs = np.maximum(m_blk.sum(axis=0), 1)
         xbar = np.where(m_blk, x_blk, 0.0).sum(axis=0) / n_obs
-        if fam.name == "bernoulli":
-            p = (xbar * n_obs + 1.0) / (n_obs + 2.0)  # add-one smoothing
-            col = special.logit(p)
-        elif fam.name == "poisson":
-            col = np.log(xbar + 0.5)
-        elif fam.name == "exponential":
-            col = -1.0 / (xbar + 1e-8)
-            col = np.maximum(col, -1e6)
-        else:
-            col = xbar
-        row[cols] = col
+        row[cols] = fam.moment_match(xbar, n_obs)
     return row
 
 
@@ -276,7 +240,7 @@ def fit_map(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
         rng = np.random.default_rng(np.random.SeedSequence([opts.seed, r]))
         state0 = init_state(obs, layout, rng, opts.init_std)
         free = FreeParams(layout, state0)
-        fun = _make_fun_and_grad(obs, layout, spec, free)
+        fun = _objective(free.log_density(obs, spec))
         try:
             res = minimize_cg(fun, free.pack(state0), grad_tol, opts.max_iter)
         except ValueError:
@@ -328,7 +292,7 @@ def predict_target(obs_test: ObservationSet, state: FactorState,
     template = FactorState(u0, state.v, state.mean_row)
     free = FreeParams(layout, template, fix_v=True, fix_mean=True)
     spec_fold = spec.replace(beta=0.0, gamma=spec.gamma)
-    fun = _make_fun_and_grad(obs2, layout, spec_fold, free)
+    fun = _objective(free.log_density(obs2, spec_fold))
 
     grad_tol = opts.grad_tol
     if grad_tol is None:

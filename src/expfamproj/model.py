@@ -13,7 +13,9 @@ into a shared block and per-view specific blocks:
     ecca    shared block on both views plus one specific block per view
 
 The structural zeros live in a K x D boolean mask on V; entries under the
-mask are pinned to exactly 0.
+mask are pinned to exactly 0.  EntryTerms holds the per-entry
+log-likelihood and conjugate-kernel terms that every engine scores Theta
+with.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expfam import Family, get_family
+from .expfam import DomainError, Family, get_family
 
 MODEL_KINDS = ("epca", "sepca", "epls", "ecca")
 
@@ -71,10 +73,6 @@ class BlockLayout:
         return int(sum(self.view_widths))
 
     @property
-    def rows_shared(self):
-        return slice(0, self.ranks[0])
-
-    @property
     def rows_view(self):
         k_s, k_1, k_2 = self.ranks
         return (slice(k_s, k_s + k_1), slice(k_s + k_1, k_s + k_1 + k_2))
@@ -86,20 +84,6 @@ class BlockLayout:
 
     def view_cols(self, i):
         return self.cols_view[i]
-
-    def col_alpha(self):
-        """Per-column likelihood weight, length D."""
-        w = np.empty(self.d_total)
-        for i in range(self.n_views):
-            w[self.cols_view[i]] = self.alpha[i]
-        return w
-
-    def col_family_index(self):
-        """Per-column view index, length D."""
-        idx = np.empty(self.d_total, dtype=int)
-        for i in range(self.n_views):
-            idx[self.cols_view[i]] = i
-        return idx
 
 
 def make_layout(model_kind, view_widths, ranks, families, alpha=None,
@@ -223,15 +207,13 @@ class ObservationSet:
 
     x must be finite everywhere; unobserved entries carry an arbitrary
     in-support filler (the loader writes 0) and are never touched by the
-    likelihood.  alpha is carried here as well so that data files can pin
-    the sepca weighting.
+    likelihood.  Likelihood weights (sepca's alpha) belong to the layout.
     """
 
     x: np.ndarray
     observed: np.ndarray
     view_widths: tuple
     families: tuple
-    alpha: tuple = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -246,9 +228,6 @@ class ObservationSet:
         self.families = tuple(get_family(f) for f in self.families)
         if len(self.families) != n_views:
             raise ShapeError(f"expected {n_views} families")
-        if self.alpha is None:
-            self.alpha = (1.0,) * n_views
-        self.alpha = tuple(float(a) for a in self.alpha)
         if not np.all(np.isfinite(self.x)):
             raise ValueError("x must be finite; mark missing entries in the mask")
         for i, fam in enumerate(self.families):
@@ -272,81 +251,129 @@ class ObservationSet:
 
     def subset_rows(self, idx):
         return ObservationSet(self.x[idx], self.observed[idx],
-                              self.view_widths, self.families, self.alpha)
+                              self.view_widths, self.families)
 
     def with_mask(self, observed):
         return ObservationSet(self.x, observed, self.view_widths,
-                              self.families, self.alpha)
+                              self.families)
 
 
-def _logpdf_matrix(obs: ObservationSet, theta: np.ndarray,
-                   layout: BlockLayout) -> np.ndarray:
-    """Elementwise log p(x | theta) with unobserved entries set to 0."""
-    out = np.zeros_like(theta)
-    for i, fam in enumerate(layout.families):
-        cols = layout.cols_view[i]
-        block = fam.log_pdf_unchecked(obs.x[:, cols], theta[:, cols])
-        out[:, cols] = np.where(obs.observed[:, cols], block, 0.0)
-    return out
+class EntryTerms:
+    """The per-entry log terms every engine scores, view by view.
 
+    Entry (n, d) of view i contributes
 
-def theta_in_domain(theta: np.ndarray, layout: BlockLayout) -> bool:
-    for i, fam in enumerate(layout.families):
-        if not np.all(fam.in_domain(theta[:, layout.cols_view[i]])):
-            return False
-    return True
+        w_i * [observed] * (x theta + h(x) - g(theta))
+            + beta * (lam_i theta - nu_i g(theta)),
+
+    the weighted log-likelihood plus the beta-weighted conjugate kernel.
+    Without data (x is None) only the kernel is scored, with beta = 0 only
+    the likelihood, and with neither nothing (no domain check either).
+    Views hold slices of x and mask, not copies.
+    """
+
+    def __init__(self, families, cols, x=None, mask=None, weights=None,
+                 beta=0.0, hypers=None):
+        self.beta = beta
+        self.views = [
+            (fam, c, None if x is None else x[:, c],
+             None if x is None else mask[:, c],
+             1.0 if weights is None else weights[i],
+             hypers[i].lam if beta > 0 else 0.0,
+             hypers[i].nu if beta > 0 else 0.0)
+            for i, (fam, c) in enumerate(zip(families, cols))
+            if x is not None or beta > 0]
+
+    def terms(self, theta, want_grad=False):
+        """(values, d values / d theta), each shaped like theta; the
+        derivative is None unless want_grad.  None when theta leaves the
+        domain of any view's family."""
+        vals = np.zeros_like(theta)
+        grad = np.zeros_like(theta) if want_grad else None
+        for fam, cols, x, m, w, lam, nu in self.views:
+            t = theta[:, cols]
+            if not np.all(fam.in_domain(t)):
+                return None
+            g = fam._g(t)
+            val = 0.0
+            if x is not None:
+                val = np.where(m, x * t + fam._h(x) - g, 0.0) * w
+            if self.beta > 0:
+                val = val + self.beta * (lam * t - nu * g)
+            vals[:, cols] = val
+            if want_grad:
+                mu = fam._gprime(t)
+                dval = 0.0
+                if x is not None:
+                    dval = np.where(m, x - mu, 0.0) * w
+                if self.beta > 0:
+                    dval = dval + self.beta * (lam - nu * mu)
+                grad[:, cols] = dval
+        return vals, grad
+
+    def value(self, theta) -> float:
+        """Sum of the entry terms, -inf outside the domain."""
+        out = self.terms(theta)
+        return -np.inf if out is None else float(np.sum(out[0]))
+
+    def log_ratio(self, old, star):
+        """Per-entry log ratio of the terms at star over those at old;
+        -inf where star leaves the domain."""
+        out = np.zeros_like(old)
+        for fam, cols, x, m, w, lam, nu in self.views:
+            o, s = old[:, cols], star[:, cols]
+            dom = fam.in_domain(s)
+            s = np.where(dom, s, o)
+            g_s, g_o = fam._g(s), fam._g(o)
+            r = 0.0
+            if x is not None:
+                h = fam._h(x)
+                r = np.where(m, (x * s + h - g_s) - (x * o + h - g_o), 0.0) * w
+            if self.beta > 0:
+                r = r + self.beta * (lam * (s - o) - nu * (g_s - g_o))
+            out[:, cols] = np.where(dom, r, -np.inf)
+        return out
 
 
 def log_likelihood_theta(obs: ObservationSet, theta: np.ndarray,
                          layout: BlockLayout) -> float:
-    """Masked, alpha-weighted log-likelihood at a given Theta matrix."""
-    for i, fam in enumerate(layout.families):
-        fam._require_domain(theta[:, layout.cols_view[i]])
-    ll = _logpdf_matrix(obs, theta, layout)
-    return float(np.sum(ll * layout.col_alpha()))
-
-
-def log_likelihood(obs: ObservationSet, state: FactorState,
-                   layout: BlockLayout) -> float:
-    """Masked, alpha-weighted log-likelihood of the observed entries.
+    """Masked, alpha-weighted log-likelihood at a given Theta matrix.
 
     The per-view alpha weights multiply whole columns of the elementwise
     log-pdf matrix and the result is reduced by a single sum over the
     full matrix, so that weighting with alpha = (1, 1) is bit-identical
-    to the unweighted single-view computation.
+    to the unweighted single-view computation.  Raises DomainError when
+    Theta leaves a family's domain.
     """
+    out = EntryTerms(layout.families, layout.cols_view, obs.x, obs.observed,
+                     layout.alpha).terms(theta)
+    if out is None:
+        raise DomainError("natural parameter outside the family domain")
+    return float(np.sum(out[0]))
+
+
+def log_likelihood(obs: ObservationSet, state: FactorState,
+                   layout: BlockLayout) -> float:
+    """Masked, alpha-weighted log-likelihood of the observed entries."""
     return log_likelihood_theta(obs, assemble_theta(state, layout), layout)
-
-
-def loglik_grad_theta(obs: ObservationSet, theta: np.ndarray,
-                      layout: BlockLayout) -> np.ndarray:
-    """d log-likelihood / d theta: alpha * mask * (x - mean_param(theta))."""
-    grad = np.zeros_like(theta)
-    for i, fam in enumerate(layout.families):
-        cols = layout.cols_view[i]
-        mu = fam._gprime(theta[:, cols])
-        grad[:, cols] = np.where(obs.observed[:, cols],
-                                 obs.x[:, cols] - mu, 0.0)
-    return grad * layout.col_alpha()
 
 
 def log_pdf_sum_at(obs: ObservationSet, theta: np.ndarray,
                    layout: BlockLayout, mask: np.ndarray) -> float:
     """Unweighted sum of log p(x | theta) over the entries picked by mask.
 
-    Used for held-out scoring, so no alpha weighting is applied.
+    Used for held-out scoring, so no alpha weighting is applied.  Each
+    view's picked entries are summed on their own, in row-major order.
     """
     if mask.shape != obs.x.shape:
         raise ShapeError("mask shape does not match the data")
+    out = EntryTerms(layout.families, layout.cols_view, obs.x,
+                     mask).terms(theta)
+    if out is None:
+        raise DomainError("natural parameter outside the family domain")
     total = 0.0
-    for i, fam in enumerate(layout.families):
-        cols = layout.cols_view[i]
-        m = mask[:, cols]
-        if not np.any(m):
-            continue
-        fam._require_domain(theta[:, cols][m])
-        total += float(np.sum(fam.log_pdf_unchecked(obs.x[:, cols][m],
-                                                    theta[:, cols][m])))
+    for cols in layout.cols_view[:layout.n_views]:
+        total += float(np.sum(out[0][:, cols][mask[:, cols]]))
     return total
 
 
@@ -359,18 +386,21 @@ def load_observations(csv_path, descriptor_path) -> ObservationSet:
     The CSV holds one row per observation row; the token NA (case
     insensitive, or an empty field) marks a missing entry.  A header line
     is allowed and detected by its non-numeric fields.  The descriptor is
-    a JSON object with keys view_widths, families and optionally alpha.
+    a JSON object with keys view_widths and families.
     """
     with open(descriptor_path) as fh:
         desc = json.load(fh)
     for key in ("view_widths", "families"):
         if key not in desc:
             raise ValueError(f"descriptor {descriptor_path} is missing {key!r}")
+    if "alpha" in desc:
+        raise ValueError(f"descriptor {descriptor_path}: 'alpha' is not a "
+                         "data property; set the sepca weights with "
+                         "layout.alpha")
     view_widths = tuple(int(w) for w in desc["view_widths"])
     families = desc["families"]
     if isinstance(families, str):
         families = [families]
-    alpha = desc.get("alpha")
 
     rows, mask_rows = [], []
     with open(csv_path, newline="") as fh:
@@ -406,4 +436,4 @@ def load_observations(csv_path, descriptor_path) -> ObservationSet:
 
     x = np.asarray(rows, dtype=float)
     observed = np.asarray(mask_rows, dtype=bool)
-    return ObservationSet(x, observed, view_widths, families, alpha)
+    return ObservationSet(x, observed, view_widths, families)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expfam import LOG_2PI, ConjugateHyper
-from .model import BlockLayout, FactorState, assemble_theta
+from .model import BlockLayout, EntryTerms, FactorState, assemble_theta
 
 
 class GradientUndefined(ValueError):
@@ -85,17 +85,21 @@ class PriorSpec:
     def replace(self, **kw) -> "PriorSpec":
         return replace(self, **kw)
 
+    def entry_terms(self, layout: BlockLayout, obs=None) -> EntryTerms:
+        """The beta-weighted conjugate kernel entry by entry, plus the
+        log-likelihood of obs when given.
 
-def col_conj_params(spec: PriorSpec, layout: BlockLayout):
-    """Per-column (lam, nu) vectors of length D."""
-    d = layout.d_total
-    lam = np.empty(d)
-    nu = np.empty(d)
-    for i in range(layout.n_views):
-        hyp = spec.hyper_for_view(i)
-        lam[layout.cols_view[i]] = hyp.lam
-        nu[layout.cols_view[i]] = hyp.nu
-    return lam, nu
+        The likelihood is weighted by the layout's alpha.  With layout
+        None the views come from obs and every weight is 1 (the gibecca
+        Theta refresh, which has no layout).
+        """
+        views = layout or obs
+        idx = range(len(views.families))
+        x, mask = (None, None) if obs is None else (obs.x, obs.observed)
+        weights = None if layout is None else layout.alpha
+        return EntryTerms(views.families, [views.view_cols(i) for i in idx],
+                          x, mask, weights, self.beta,
+                          [self.hyper_for_view(i) for i in idx])
 
 
 def _gaussian_logpdf_sum(values_sq_by_comp, n_terms_by_comp, variances):
@@ -128,15 +132,7 @@ def log_prior_unnorm(state: FactorState, spec: PriorSpec,
     """
     total = 0.0
     if spec.beta > 0:
-        theta = assemble_theta(state, layout)
-        a_sum = 0.0
-        for i, fam in enumerate(layout.families):
-            block = theta[:, layout.cols_view[i]]
-            if not np.all(fam.in_domain(block)):
-                return -np.inf
-            hyp = spec.hyper_for_view(i)
-            a_sum += float(np.sum(hyp.lam * block - hyp.nu * fam._g(block)))
-        total += spec.beta * a_sum
+        total += spec.entry_terms(layout).value(assemble_theta(state, layout))
     if spec.gamma > 0:
         log_b, log_c = gaussian_block_terms(state, spec, layout)
         total += spec.gamma * (log_b + log_c)
@@ -155,17 +151,12 @@ def grad_log_prior(state: FactorState, spec: PriorSpec, layout: BlockLayout):
     grad_m = np.zeros(layout.d_total) if layout.use_mean_row else None
 
     if spec.beta > 0:
-        theta = assemble_theta(state, layout)
-        a_grad = np.empty_like(theta)  # d(a term)/d(theta)
-        for i, fam in enumerate(layout.families):
-            cols = layout.cols_view[i]
-            block = theta[:, cols]
-            if not np.all(fam.in_domain(block)):
-                raise GradientUndefined(
-                    "theta outside the family domain with beta > 0")
-            hyp = spec.hyper_for_view(i)
-            a_grad[:, cols] = hyp.lam - hyp.nu * fam._gprime(block)
-        a_grad *= spec.beta
+        out = spec.entry_terms(layout).terms(assemble_theta(state, layout),
+                                             want_grad=True)
+        if out is None:
+            raise GradientUndefined(
+                "theta outside the family domain with beta > 0")
+        a_grad = out[1]  # d(a term)/d(theta)
         grad_u += a_grad @ state.v.T
         grad_v += state.u.T @ a_grad
         if grad_m is not None:

@@ -26,7 +26,7 @@ class ParseError(ValueError):
 
 def _as_observations(x):
     return ObservationSet(x, np.ones(x.shape, dtype=bool),
-                          (x.shape[1], 0), (BERNOULLI,), (1.0,))
+                          (x.shape[1], 0), (BERNOULLI,))
 
 
 def load_spect(path) -> ObservationSet:

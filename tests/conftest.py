@@ -56,7 +56,7 @@ def dense_observations(layout, theta, seed=0):
         cols = layout.cols_view[i]
         x[:, cols] = fam.sample(theta[:, cols], rng)
     return ObservationSet(x, np.ones_like(x, dtype=bool),
-                          layout.view_widths, layout.families, layout.alpha)
+                          layout.view_widths, layout.families)
 
 
 @pytest.fixture

@@ -125,7 +125,7 @@ def test_02_gaussian_fit_matches_truncated_svd():
     x = rng.standard_normal((20, 10))
     layout = make_layout("epca", 10, 2, "gaussian")
     obs = ObservationSet(x, np.ones_like(x, dtype=bool), (10, 0),
-                         ("gaussian",), (1.0,))
+                         ("gaussian",))
     spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.0, 1.0),
                      sigma_u=1e8, sigma_v=1e8)
     fit = fit_map(obs, layout, spec,
@@ -149,8 +149,7 @@ def test_02_gaussian_fit_matches_truncated_svd():
 def _scalar_obs(fam_name, x_val):
     layout = make_layout("epca", 1, 1, fam_name)
     obs = ObservationSet(np.array([[float(x_val)]]),
-                         np.ones((1, 1), dtype=bool), (1, 0), (fam_name,),
-                         (1.0,))
+                         np.ones((1, 1), dtype=bool), (1, 0), (fam_name,))
     return layout, obs
 
 
@@ -226,7 +225,7 @@ def test_04_exchange_matches_exact_normalizer_mh():
     x = u_true @ v0 + 0.5 * rng.standard_normal((12, 2))
     layout = make_layout("epca", 2, 2, "gaussian")
     obs = ObservationSet(x, np.ones_like(x, dtype=bool), (2, 0),
-                         ("gaussian",), (1.0,))
+                         ("gaussian",))
     spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.0, 1.0),
                      sigma_u=1.0, sigma_v=1.0)
 

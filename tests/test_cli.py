@@ -222,6 +222,9 @@ def _valid_fit_config(tmp_path):
     lambda c: c.__setitem__("options", {"exchange": {"inner_sweeps": 4}}),
     lambda c: c.__setitem__("layout", {"model": "epca", "view_widths": 5,
                                        "ranks": 0, "families": "bernoulli"}),
+    lambda c: c.update(engine="gibecca", options={"infer_hypers": "false"}),
+    lambda c: c.update(engine="hmc",
+                       options={"exchange": {"inner_sweeps": "many"}}),
 ])
 def test_config_problems_exit_2(tmp_path, capsys, mutate):
     cfg = _valid_fit_config(tmp_path)
@@ -229,6 +232,18 @@ def test_config_problems_exit_2(tmp_path, capsys, mutate):
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_descriptor_alpha_is_rejected(tmp_path, capsys):
+    """Likelihood weights belong to the layout; a descriptor that sets
+    alpha would otherwise be silently ignored."""
+    cfg = _valid_fit_config(tmp_path)
+    desc = tmp_path / "desc.json"
+    _write_json(desc, dict(json.loads(desc.read_text()), alpha=[1.0]))
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    assert main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "layout.alpha" in err
 
 
 def test_unknown_recipe_exits_2(tmp_path, capsys):

@@ -52,6 +52,7 @@ def test_make_recipe_config_coercion_and_seed():
     ("no-such-recipe", None),
     ("cca-knn", {"bogus_field": 1}),
     ("beta-sweep", {"n_points": "not a number"}),
+    ("sampler-bench", {"save_chains": "false"}),
 ])
 def test_make_recipe_config_rejects(name, overrides):
     with pytest.raises(ConfigError):

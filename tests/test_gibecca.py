@@ -289,7 +289,7 @@ def test_sepca_layout_is_rejected():
     lay = make_layout("sepca", (2, 2), 1, ("gaussian", "gaussian"),
                       alpha=1.0)
     obs = ObservationSet(np.zeros((3, 4)), np.ones((3, 4), dtype=bool),
-                         lay.view_widths, lay.families, lay.alpha)
+                         lay.view_widths, lay.families)
     spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.0, 1.0))
     with pytest.raises(LayoutError):
         run_gibecca(obs, lay, spec, GibeccaOptions(n_samples=2, burn_in=1))

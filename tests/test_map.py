@@ -142,7 +142,7 @@ def _two_view_fixture(seed, n_train=12, noiseless=True):
     x = theta.copy() if noiseless else theta + 0.1 * rng.standard_normal(
         theta.shape)
     obs = ObservationSet(x, np.ones_like(x, dtype=bool),
-                         lay.view_widths, lay.families, lay.alpha)
+                         lay.view_widths, lay.families)
     return lay, FactorState(u, v), obs, theta
 
 
@@ -165,8 +165,7 @@ def test_fold_in_ignores_view_one_observations():
     p1 = predict_target(obs, state, lay, spec, MapOptions(seed=0))
     x2 = obs.x.copy()
     x2[:, lay.cols_view[0]] += 100.0
-    obs2 = ObservationSet(x2, obs.observed, lay.view_widths, lay.families,
-                          lay.alpha)
+    obs2 = ObservationSet(x2, obs.observed, lay.view_widths, lay.families)
     p2 = predict_target(obs2, state, lay, spec, MapOptions(seed=0))
     assert np.array_equal(p1.means, p2.means)
 
@@ -185,7 +184,7 @@ def test_fold_in_zero_loadings_predicts_constant():
     x = np.zeros((4, 5))
     x[:, 2:] = rng.standard_normal((4, 3))
     obs = ObservationSet(x, np.ones_like(x, dtype=bool),
-                         lay.view_widths, lay.families, lay.alpha)
+                         lay.view_widths, lay.families)
     spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.1, 0.2))
     pred = predict_target(obs, state, lay, spec, MapOptions(seed=0))
     expect = special.expit(mean_row[:2])
@@ -201,7 +200,7 @@ def test_fold_in_matches_grid_oracle_logistic():
     state = FactorState(np.zeros((1, 1)), v)
     x = np.array([[0.0, 1, 1, 0, 1, 1, 0]], dtype=float)
     obs = ObservationSet(x, np.ones((1, 7), dtype=bool),
-                         lay.view_widths, lay.families, lay.alpha)
+                         lay.view_widths, lay.families)
     sigma_u = 2.0
     spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.1, 0.2),
                      sigma_u=sigma_u, sigma_v=1.0)

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from expfamproj import (ConfigError, FactorState, LayoutError, ObservationSet,
-                        ShapeError, assemble_theta, get_family,
+from expfamproj import (ConfigError, ConjugateHyper, FactorState,
+                        LayoutError, ObservationSet, ShapeError,
+                        assemble_theta, get_family,
                         load_observations, log_likelihood,
                         log_likelihood_theta, make_layout)
-from expfamproj.model import log_pdf_sum_at, loglik_grad_theta, theta_in_domain
+from expfamproj.model import EntryTerms, log_pdf_sum_at
 
 from conftest import dense_observations, make_rng
 
@@ -56,9 +57,7 @@ def test_sepca_layout_has_no_zeros_and_alpha():
     lay = make_layout("sepca", (3, 4), 2, ("gaussian", "bernoulli"),
                       alpha=1e-3)
     assert not lay.zero_mask.any()
-    ca = lay.col_alpha()
-    assert np.all(ca[:3] == 1.0)
-    assert np.all(ca[3:] == 1e-3)
+    assert lay.alpha == (1.0, 1e-3)
 
 
 def test_layout_slices_partition_columns():
@@ -67,9 +66,8 @@ def test_layout_slices_partition_columns():
     for i in range(lay.n_views):
         cols[lay.cols_view[i]] += 1
     assert np.all(cols == 1)
-    idx = lay.col_family_index()
-    assert [lay.families[i].name for i in idx[:3]] == ["gaussian"] * 3
-    assert [lay.families[i].name for i in idx[3:]] == ["poisson"] * 4
+    assert lay.cols_view[:lay.n_views] == (slice(0, 3), slice(3, 7))
+    assert [f.name for f in lay.families] == ["gaussian", "poisson"]
 
 
 def test_make_layout_rejections():
@@ -217,26 +215,6 @@ def test_log_likelihood_state_matches_theta_path():
         log_likelihood_theta(obs, theta, lay), rel=1e-12)
 
 
-def test_loglik_grad_theta_is_masked_residual():
-    lay = make_layout("epca", 3, 1, "poisson")
-    rng = make_rng(8, 5)
-    theta = 0.4 * rng.standard_normal((4, 3))
-    obs = dense_observations(lay, theta, seed=83)
-    observed = obs.observed.copy()
-    observed[0, 0] = False
-    obs = obs.with_mask(observed)
-    g = loglik_grad_theta(obs, theta, lay)
-    expect = np.where(observed, obs.x - np.exp(theta), 0.0)
-    assert np.allclose(g, expect, atol=1e-12)
-    assert g[0, 0] == 0.0
-
-
-def test_theta_in_domain_checks_families():
-    lay = make_layout("epls", (1, 1), (1, 1), ("exponential", "gaussian"))
-    assert theta_in_domain(np.array([[-1.0, 5.0]]), lay)
-    assert not theta_in_domain(np.array([[1.0, 5.0]]), lay)
-
-
 def test_log_pdf_sum_at_masked_subset():
     lay = make_layout("epca", 2, 1, "bernoulli")
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -250,6 +228,95 @@ def test_log_pdf_sum_at_masked_subset():
     assert log_pdf_sum_at(obs, theta, lay, empty) == 0.0
     with pytest.raises(ShapeError):
         log_pdf_sum_at(obs, theta, lay, np.ones((3, 2), dtype=bool))
+
+
+# ------------------------------------------------------------ entry terms
+
+def _entry_case(families, seed):
+    """Two-view data with a partial mask at an in-domain Theta."""
+    rng = make_rng(seed, 6)
+    fams = tuple(get_family(f) for f in families)
+    cols = (slice(0, 3), slice(3, 7))
+    theta = 0.6 * rng.standard_normal((5, 7))
+    x = np.empty_like(theta)
+    for fam, c in zip(fams, cols):
+        theta[:, c] = fam.to_domain(theta[:, c])
+        x[:, c] = fam.sample(theta[:, c], rng)
+    mask = rng.random(theta.shape) < 0.7
+    return fams, cols, x, mask, theta
+
+
+def _entry_reference(fams, cols, x, mask, weights, beta, hypers, theta):
+    ref = np.zeros_like(theta)
+    for i, (fam, c) in enumerate(zip(fams, cols)):
+        ll = np.where(mask[:, c], fam.log_pdf(x[:, c], theta[:, c]), 0.0)
+        ref[:, c] = weights[i] * ll + beta * fam.conj_log_kernel(theta[:, c],
+                                                                 hypers[i])
+    return ref
+
+
+@pytest.mark.parametrize("families", [("bernoulli", "poisson"),
+                                      ("gaussian", "exponential")])
+def test_entry_terms_match_reference_entrywise(families):
+    fams, cols, x, mask, theta = _entry_case(families, 1)
+    weights, beta = (1.0, 0.3), 0.4
+    hypers = (ConjugateHyper(0.5, 1.0), ConjugateHyper(0.2, 1.5))
+    terms = EntryTerms(fams, cols, x, mask, weights, beta, hypers)
+    vals, grad = terms.terms(theta, want_grad=True)
+    ref = _entry_reference(fams, cols, x, mask, weights, beta, hypers, theta)
+    assert np.allclose(vals, ref, rtol=1e-12, atol=1e-12)
+    assert terms.value(theta) == pytest.approx(ref.sum(), rel=1e-12)
+    eps = 1e-6
+    fd = (_entry_reference(fams, cols, x, mask, weights, beta, hypers,
+                           theta + eps)
+          - _entry_reference(fams, cols, x, mask, weights, beta, hypers,
+                             theta - eps)) / (2 * eps)
+    assert np.allclose(grad, fd, rtol=1e-6, atol=1e-6)
+    # likelihood only, and conjugate kernel only
+    lik = EntryTerms(fams, cols, x, mask, weights).terms(theta)[0]
+    assert np.allclose(lik, _entry_reference(fams, cols, x, mask, weights,
+                                             0.0, hypers, theta), atol=1e-12)
+    conj = EntryTerms(fams, cols, beta=beta, hypers=hypers).terms(theta)[0]
+    no_data = np.zeros_like(mask)
+    assert np.allclose(conj, _entry_reference(fams, cols, x, no_data,
+                                              weights, beta, hypers, theta),
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("families", [("bernoulli", "poisson"),
+                                      ("gaussian", "exponential")])
+def test_entry_terms_log_ratio_and_domain(families):
+    fams, cols, x, mask, theta = _entry_case(families, 2)
+    weights, beta = (0.5, 2.0), 0.3
+    hypers = (ConjugateHyper(0.5, 1.0), ConjugateHyper(0.2, 1.5))
+    terms = EntryTerms(fams, cols, x, mask, weights, beta, hypers)
+    star = theta + 0.1 * make_rng(2, 7).standard_normal(theta.shape)
+    for fam, c in zip(fams, cols):
+        if fam.name == "exponential":
+            star[:, c] = np.minimum(star[:, c], -1e-3)
+    star[0, 5] = 4.0              # out of the exponential view's domain
+    in_dom = np.ones(theta.shape, dtype=bool)
+    for fam, c in zip(fams, cols):
+        in_dom[:, c] = fam.in_domain(star[:, c])
+    r = terms.log_ratio(theta, star)
+    safe = np.where(in_dom, star, theta)
+    ref = (_entry_reference(fams, cols, x, mask, weights, beta, hypers, safe)
+           - _entry_reference(fams, cols, x, mask, weights, beta, hypers,
+                              theta))
+    assert np.allclose(r[in_dom], ref[in_dom], rtol=1e-10, atol=1e-10)
+    assert np.all(r[~in_dom] == -np.inf)
+    assert (~in_dom).any() == (families[1] == "exponential")
+    if (~in_dom).any():
+        assert terms.terms(star) is None
+        assert terms.value(star) == -np.inf
+
+
+def test_entry_terms_without_data_or_beta_score_nothing():
+    fams = (get_family("exponential"),)
+    theta = np.ones((2, 3))      # outside the domain, but nothing is scored
+    terms = EntryTerms(fams, (slice(0, 3),), beta=0.0)
+    assert terms.value(theta) == 0.0
+    assert np.all(terms.log_ratio(theta, theta) == 0.0)
 
 
 # ------------------------------------------------------------ observations

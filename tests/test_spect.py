@@ -132,7 +132,7 @@ def test_holdout_keeps_row_and_column_coverage():
     rng = make_rng(9, 31)
     x = rng.integers(0, 2, size=(8, 5)).astype(float)
     obs = ObservationSet(x, np.ones_like(x, dtype=bool), (5, 0),
-                         ("bernoulli",), (1.0,))
+                         ("bernoulli",))
     for seed in range(30):
         train, held = make_holdout(obs, frac=0.6, seed=seed)
         assert train.observed.sum(axis=1).min() >= 1
