@@ -23,20 +23,20 @@ from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
                     ObservationSet, ShapeError, assemble_theta,
                     load_observations, log_likelihood, log_likelihood_theta,
                     make_layout)
-from .prior import GradientUndefined, PriorSpec, grad_log_prior, \
-    log_prior_unnorm
+from .prior import PriorSpec, log_density, log_prior_unnorm
 
 __all__ = [
     "BERNOULLI", "BlockLayout", "Chain", "ChainError", "ConfigError",
     "ConjugateHyper", "CoupledData", "DomainError", "EXPONENTIAL",
     "ExchangeOptions", "FAMILIES", "FactorState", "FitError", "FoldInError",
-    "GAUSSIAN_UNIT", "GibeccaOptions", "GradientUndefined", "HmcOptions",
+    "GAUSSIAN_UNIT", "GibeccaOptions", "HmcOptions",
     "LayoutError", "MapFit", "MapOptions", "MaskError", "ObservationSet",
     "POISSON", "PriorSpec", "ProposalError", "ShapeError", "StageError",
     "StatError", "SupportError", "assemble_theta", "cv_select_hyperparams",
     "exchange_update_hyper", "fit_map", "generate_coupled", "get_family",
     "gibbs_gaussian_stage", "heldout_loglik", "hmc_step", "knn_latent_error",
-    "load_chain", "load_observations", "load_state", "log_likelihood",
+    "load_chain", "load_observations", "load_state", "log_density",
+    "log_likelihood",
     "log_likelihood_theta", "make_layout", "mh_accept_elements",
     "paired_significance", "predict_target", "prediction_error",
     "propose_theta_rows", "run_gibecca", "run_hmc_chain",

@@ -19,8 +19,8 @@ import numpy as np
 from .chains import save_chain, save_state
 from .evaluation import MaskError, generate_coupled, heldout_loglik
 from .expfam import ConjugateHyper, DomainError, SupportError
-from .experiments import (RECIPES, coerce_fields, make_recipe_config,
-                          run_beta_sweep, write_rows_csv)
+from .experiments import (RECIPES, coerce_fields, expect_bool,
+                          make_recipe_config, run_beta_sweep, write_rows_csv)
 from .gibecca import GibeccaOptions, ProposalError, StageError, run_gibecca
 from .hmc_infer import ChainError, ExchangeOptions, HmcOptions, run_hmc_chain
 from .map_infer import FitError, FoldInError, MapOptions, fit_map
@@ -78,7 +78,8 @@ def build_layout(d, path="layout"):
                  _get(d, "ranks", path),
                  _get(d, "families", path),
                  alpha=d.get("alpha"),
-                 use_mean_row=bool(d.get("mean_row", False)))
+                 use_mean_row=expect_bool(d.get("mean_row", False),
+                                          f"{path}.mean_row"))
 
 
 def build_prior(d, path="prior"):
@@ -103,6 +104,10 @@ def build_prior(d, path="prior"):
 _OPTION_CLASSES = {"map": MapOptions, "hmc": HmcOptions,
                    "gibecca": GibeccaOptions}
 _UNSETTABLE = {"fix_v", "initial_state", "initial_theta"}
+# smallest accepted counts; an engine without the field rejects it as
+# unknown first
+_MINIMUMS = {"n_samples": 0, "burn_in": 0, "thin": 1, "n_leapfrog": 1,
+             "restarts": 1}
 
 
 def build_options(engine, d, path="options", seed=None):
@@ -113,6 +118,10 @@ def build_options(engine, d, path="options", seed=None):
     d = dict(_as_dict(d, path)) if d is not None else {}
     exchange = d.pop("exchange", None)
     kwargs = coerce_fields(cls, d, path, f"engine {engine}", _UNSETTABLE)
+    for key, lo in _MINIMUMS.items():
+        if kwargs.get(key, lo) < lo:
+            raise ConfigError(f"{path}.{key}: must be at least {lo}, "
+                              f"got {kwargs[key]}")
     if engine == "hmc" and exchange is not None:
         sub = f"{path}.exchange"
         kwargs["exchange"] = _wrap(sub, ExchangeOptions, **coerce_fields(
@@ -261,15 +270,12 @@ def cmd_impute(cfg, args):
                                seed=int(hold.get("seed", 0)))
     if engine == "map":
         fit = fit_map(train, layout, spec, opts)
-        source = fit
         thetas = [assemble_theta(fit.state, layout)]
     else:
         runner = run_hmc_chain if engine == "hmc" else run_gibecca
-        chain = runner(train, layout, spec, opts)
-        source = chain
-        thetas = chain.theta_samples(layout)
+        thetas = runner(train, layout, spec, opts).theta_samples(layout)
+    ll = heldout_loglik(thetas, train, held, layout)
     means = _predictive_means(thetas, layout)
-    ll = heldout_loglik(source, train, held, layout)
 
     os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "predictions.csv")

@@ -13,9 +13,7 @@ import numpy as np
 from scipy import special, stats
 
 from .chains import Chain
-from .map_infer import MapFit
-from .model import (BlockLayout, ConfigError, FactorState, ObservationSet,
-                    assemble_theta, log_pdf_sum_at)
+from .model import BlockLayout, ConfigError, ObservationSet, log_pdf_sum_at
 
 
 class MaskError(ValueError):
@@ -94,14 +92,14 @@ def prediction_error(means: np.ndarray, x_true: np.ndarray, family) -> float:
     return float(np.mean((means - x_true) ** 2))
 
 
-def heldout_loglik(source, obs: ObservationSet, held_mask: np.ndarray,
+def heldout_loglik(thetas, obs: ObservationSet, held_mask: np.ndarray,
                    layout: BlockLayout) -> float:
     """Predictive log-likelihood of the entries picked by held_mask.
 
-    source may be a point estimate (MapFit, FactorState or a Theta matrix)
-    or a Chain; for a chain the per-sample log-likelihoods are combined as
-    logsumexp - log S, the Monte Carlo estimate of log E[p(x_held | Theta)].
-    held_mask must be disjoint from the training mask in obs.
+    thetas is a list of Theta samples (one for a point estimate); their
+    log-likelihoods are combined as logsumexp - log S, the Monte Carlo
+    estimate of log E[p(x_held | Theta)], which is exact for a single
+    sample.  held_mask must be disjoint from the training mask in obs.
     """
     held_mask = np.asarray(held_mask, dtype=bool)
     if held_mask.shape != obs.x.shape:
@@ -109,19 +107,11 @@ def heldout_loglik(source, obs: ObservationSet, held_mask: np.ndarray,
                         f"match the data {obs.x.shape}")
     if np.any(held_mask & obs.observed):
         raise MaskError("held-out entries overlap the training mask")
-    if isinstance(source, Chain):
-        if source.n_samples == 0:
-            raise StatError("empty chain")
-        lls = np.array([log_pdf_sum_at(obs, t, layout, held_mask)
-                        for t in source.theta_samples(layout)])
-        return float(special.logsumexp(lls) - np.log(lls.size))
-    if isinstance(source, MapFit):
-        theta = assemble_theta(source.state, layout)
-    elif isinstance(source, FactorState):
-        theta = assemble_theta(source, layout)
-    else:
-        theta = np.asarray(source, dtype=float)
-    return log_pdf_sum_at(obs, theta, layout, held_mask)
+    if len(thetas) == 0:
+        raise StatError("no Theta samples")
+    lls = np.array([log_pdf_sum_at(obs, t, layout, held_mask)
+                    for t in thetas])
+    return float(special.logsumexp(lls) - np.log(lls.size))
 
 
 def knn_latent_error(u: np.ndarray, labels: np.ndarray, n_neighbors=9,

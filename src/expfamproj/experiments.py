@@ -27,7 +27,7 @@ from .expfam import ConjugateHyper, get_family
 from .gibecca import GibeccaOptions, run_gibecca
 from .hmc_infer import HmcOptions, run_hmc_chain
 from .map_infer import MapOptions, cv_select_hyperparams, fit_map, predict_target
-from .model import ConfigError, ObservationSet, make_layout
+from .model import ConfigError, ObservationSet, assemble_theta, make_layout
 from .prior import PriorSpec
 from .spect import make_holdout
 
@@ -224,7 +224,8 @@ def _beta_point(args):
         fit = fit_map(train_obs, layout, spec,
                       MapOptions(max_iter=cfg.max_iter, restarts=1,
                                  seed=_seed_int(cfg.seed, 41, idx, restart)))
-        value = heldout_loglik(fit, train_obs, held, layout)
+        value = heldout_loglik([assemble_theta(fit.state, layout)],
+                               train_obs, held, layout)
         return [_row(name, restart, f"beta-{beta:.6g}", cfg.k,
                      "heldout_loglik", value)]
     except Exception as exc:                      # noqa: BLE001
@@ -481,14 +482,20 @@ def coerce_fields(cls, values, path, owner, unsettable=()):
     for key, value in values.items():
         if key not in kinds or key in unsettable:
             raise ConfigError(f"{path}.{key}: unknown field for {owner}")
-        if kinds[key] == "bool" and not isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}: expected true or false, "
-                              f"got {value!r}")
+        if kinds[key] == "bool":
+            expect_bool(value, f"{path}.{key}")
         try:
             kwargs[key] = _CASTS.get(kinds[key], lambda v: v)(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}.{key}: {exc}") from exc
     return kwargs
+
+
+def expect_bool(value, where):
+    """value when it is a JSON boolean; ConfigError naming where if not."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
 
 
 def make_recipe_config(name, overrides=None, seed=None):

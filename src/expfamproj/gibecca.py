@@ -25,7 +25,7 @@ plus a trace-scaled jitter before factorisation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -34,7 +34,7 @@ from .chains import Chain
 from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
                     ObservationSet, log_likelihood_theta)
 from .map_infer import _check_obs_layout, moment_matched_row
-from .prior import PriorSpec
+from .prior import PriorSpec, factor_sums_of_squares
 
 IG_SHAPE = 1.0   # inverse-gamma hyperprior on variances
 IG_SCALE = 1.0
@@ -51,12 +51,11 @@ class ProposalError(RuntimeError):
 
 @dataclass
 class GaussianStageState:
-    """State of the Gaussian stage: factors, variances, proposal covariance.
+    """State of the Gaussian stage: factors and variances.
 
     var_u and var_v are the effective per-component variances of the
     Gaussian factor priors (the spec's sigma divided by gamma); resid holds
-    one residual variance per view.  sigma / sigma_chol describe the
-    Theta-row proposal and are rebuilt at the end of every sweep.
+    one residual variance per view.
     """
 
     u: np.ndarray
@@ -64,8 +63,6 @@ class GaussianStageState:
     var_u: np.ndarray
     var_v: np.ndarray
     resid: np.ndarray
-    sigma: np.ndarray = None
-    sigma_chol: np.ndarray = field(default=None, repr=False)
 
 
 def _inv_gamma(rng, shape, scale):
@@ -125,9 +122,7 @@ def init_gaussian_stage(layout: BlockLayout, spec: PriorSpec, n_rows,
                                                  layout.d_total))
         v[layout.zero_mask] = 0.0
     resid = np.full(layout.n_views, float(resid_init))
-    stage = GaussianStageState(u, v, var_u, var_v, resid)
-    stage.sigma, stage.sigma_chol = build_sigma(stage, layout)
-    return stage
+    return GaussianStageState(u, v, var_u, var_v, resid)
 
 
 def gibbs_gaussian_stage(theta: np.ndarray, layout: BlockLayout,
@@ -138,8 +133,8 @@ def gibbs_gaussian_stage(theta: np.ndarray, layout: BlockLayout,
 
     Update order is fixed: U rows first (conditioned on the incoming V and
     variances), then free V rows per view, then component variances and
-    per-view residuals, then the proposal covariance.  Masked V entries
-    are never touched.  Returns a new state; the input is not modified.
+    per-view residuals.  Masked V entries are never touched.  Returns a
+    new state; the input is not modified.
     """
     if not np.all(np.isfinite(theta)):
         raise StageError("theta contains non-finite entries")
@@ -178,15 +173,11 @@ def gibbs_gaussian_stage(theta: np.ndarray, layout: BlockLayout,
                 _sample_mvn_rows(mean_v.T, chol_v, rng).T
 
     if infer_variances:
-        finite_u = np.isfinite(var_u)
-        ssq_u = np.sum(u * u, axis=0)
-        for j in np.flatnonzero(finite_u):
+        ssq_u, ssq_v, n_free = factor_sums_of_squares(u, v, layout.zero_mask)
+        for j in np.flatnonzero(np.isfinite(var_u)):
             var_u[j] = _inv_gamma(rng, IG_SHAPE + 0.5 * n,
                                   IG_SCALE + 0.5 * ssq_u[j])
         if sample_v:
-            free = ~layout.zero_mask
-            ssq_v = np.sum(np.where(free, v, 0.0) ** 2, axis=1)
-            n_free = free.sum(axis=1)
             for j in np.flatnonzero(np.isfinite(var_v)):
                 var_v[j] = _inv_gamma(rng, IG_SHAPE + 0.5 * n_free[j],
                                       IG_SCALE + 0.5 * ssq_v[j])
@@ -197,20 +188,18 @@ def gibbs_gaussian_stage(theta: np.ndarray, layout: BlockLayout,
             resid[i] = _inv_gamma(rng, IG_SHAPE + 0.5 * err.size,
                                   IG_SCALE + 0.5 * float(np.sum(err * err)))
 
-    new = GaussianStageState(u, v, var_u, var_v, resid)
-    new.sigma, new.sigma_chol = build_sigma(new, layout)
-    return new
+    return GaussianStageState(u, v, var_u, var_v, resid)
 
 
 def propose_theta_rows(stage: GaussianStageState, layout: BlockLayout,
                        rng: np.random.Generator) -> np.ndarray:
-    """Row n ~ N(u_{S,n} V_S, Sigma), independent across rows."""
-    if stage.sigma_chol is None:
-        raise ProposalError("stage has no factorised proposal covariance")
+    """Row n ~ N(u_{S,n} V_S, Sigma), independent across rows, with Sigma
+    built from the stage by build_sigma."""
+    _, chol = build_sigma(stage, layout)
     k_s = layout.ranks[0]
     mean = stage.u[:, :k_s] @ stage.v[:k_s, :]
     z = rng.standard_normal(mean.shape)
-    return mean + z @ stage.sigma_chol.T
+    return mean + z @ chol.T
 
 
 def mh_accept_elements(obs: ObservationSet, theta_old: np.ndarray,

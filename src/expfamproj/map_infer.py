@@ -22,7 +22,7 @@ import numpy as np
 from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
                     ObservationSet, assemble_theta, log_pdf_sum_at)
 from .optimize import minimize_cg
-from .prior import PriorSpec, gaussian_block_terms
+from .prior import PriorSpec, log_density
 
 
 class FitError(RuntimeError):
@@ -104,7 +104,8 @@ class FreeParams:
 def posterior_logp_and_grad(state: FactorState, obs: ObservationSet,
                             layout: BlockLayout, spec: PriorSpec,
                             want_grad=True):
-    """Unnormalised log posterior and its gradients wrt (U, V, mean_row).
+    """Unnormalised log posterior and its gradients wrt (U, V, mean_row):
+    prior.log_density of obs, with overflow warnings silenced.
 
     Returns (logp, grad_u, grad_v, grad_mean); the gradients are None when
     logp is -inf (out-of-domain Theta with beta > 0) or want_grad is False.
@@ -112,48 +113,13 @@ def posterior_logp_and_grad(state: FactorState, obs: ObservationSet,
     and MH steps can treat them as rejections.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _logp_and_grad_raw(state, obs, layout, spec, want_grad)
+        return log_density(state, obs, layout, spec, want_grad)
 
 
-def _logp_and_grad_raw(state, obs, layout, spec, want_grad):
-    out = spec.entry_terms(layout, obs).terms(assemble_theta(state, layout),
-                                              want_grad)
-    if out is None:
-        return -np.inf, None, None, None
-    contrib, w = out   # per-entry log terms and d logp / d theta
-    gamma = spec.gamma
-
-    logp = float(np.sum(contrib))
-    grad_u = grad_v = grad_mean = None
-    if want_grad:
-        grad_u = w @ state.v.T
-        grad_v = state.u.T @ w
-        if layout.use_mean_row:
-            grad_mean = w.sum(axis=0)
-
-    if gamma > 0:
-        log_b, log_c = gaussian_block_terms(state, spec, layout)
-        logp += gamma * (log_b + log_c)
-        if want_grad:
-            su, sv = spec.sigmas(layout)
-            grad_u = grad_u - gamma * state.u / su
-            grad_v = grad_v - gamma * state.v / sv[:, None]
-
-    if not np.isfinite(logp):
-        # overflow inside g (e.g. huge Poisson rates) counts as infeasible
-        return -np.inf, None, None, None
-    if want_grad:
-        grad_v[layout.zero_mask] = 0.0
-        if not (np.all(np.isfinite(grad_u)) and np.all(np.isfinite(grad_v))
-                and (grad_mean is None or np.all(np.isfinite(grad_mean)))):
-            return -np.inf, None, None, None
-    return logp, grad_u, grad_v, grad_mean
-
-
-def _objective(log_density):
+def _objective(density):
     """Negative log posterior for minimize_cg, +inf where infeasible."""
     def fun_and_grad(x):
-        logp, grad = log_density(x)
+        logp, grad = density(x)
         return (np.inf, None) if grad is None else (-logp, -grad)
     return fun_and_grad
 

@@ -15,6 +15,9 @@ dependence on the variances.
 For families with a restricted domain the value is -inf whenever beta > 0
 and any entry of U V leaves the domain; with beta = 0 the a term (and any
 g evaluation) is skipped entirely.
+
+log_density scores the posterior, likelihood times prior, with its
+gradients; the prior is the same density without data (obs None).
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ import numpy as np
 
 from .expfam import LOG_2PI, ConjugateHyper
 from .model import BlockLayout, EntryTerms, FactorState, assemble_theta
-
-
-class GradientUndefined(ValueError):
-    """Gradient requested at a point where the log prior is -inf."""
 
 
 @dataclass(frozen=True)
@@ -102,24 +101,68 @@ class PriorSpec:
                           [self.hyper_for_view(i) for i in idx])
 
 
-def _gaussian_logpdf_sum(values_sq_by_comp, n_terms_by_comp, variances):
-    # sum over components of  -n/2 log(2 pi s) - ssq / (2 s)
-    return float(np.sum(-0.5 * n_terms_by_comp * (LOG_2PI + np.log(variances))
-                        - 0.5 * values_sq_by_comp / variances))
+def factor_sums_of_squares(u, v, zero_mask):
+    """Per-component sums of squares of U's columns and of V's free
+    (unmasked) row entries, with the number of free entries per V row."""
+    free = ~zero_mask
+    return (np.sum(u * u, axis=0),
+            np.sum(np.where(free, v, 0.0) ** 2, axis=1), free.sum(axis=1))
 
 
 def gaussian_block_terms(state: FactorState, spec: PriorSpec,
                          layout: BlockLayout):
     """(log b(U), log c(V)) with full normalising constants."""
-    su, sv = spec.sigmas(layout)
-    n = state.u.shape[0]
-    u_ssq = np.sum(state.u * state.u, axis=0)
-    log_b = _gaussian_logpdf_sum(u_ssq, np.full(layout.k_total, n), su)
-    free = ~layout.zero_mask
-    v_ssq = np.sum(np.where(free, state.v, 0.0) ** 2, axis=1)
-    n_free = free.sum(axis=1)
-    log_c = _gaussian_logpdf_sum(v_ssq, n_free, sv)
-    return log_b, log_c
+    u_ssq, v_ssq, n_free = factor_sums_of_squares(state.u, state.v,
+                                                  layout.zero_mask)
+    n_terms = (np.full(layout.k_total, state.u.shape[0]), n_free)
+    # per block, sum over components of  -n/2 log(2 pi s) - ssq / (2 s)
+    return tuple(float(np.sum(-0.5 * n * (LOG_2PI + np.log(s))
+                              - 0.5 * ssq / s))
+                 for ssq, n, s in zip((u_ssq, v_ssq), n_terms,
+                                      spec.sigmas(layout)))
+
+
+def log_density(state: FactorState, obs, layout: BlockLayout,
+                spec: PriorSpec, want_grad=True):
+    """Log-likelihood of obs plus log a(UV)^beta b(U)^gamma c(V)^gamma,
+    with its gradients wrt (U, V, mean_row); the log prior when obs is None.
+
+    Returns (logp, grad_u, grad_v, grad_mean), with None for gradients not
+    asked for or absent (no mean row) and exact zeros on masked V entries;
+    (-inf, None, None, None) out of the domain or where anything overflows.
+    """
+    out = spec.entry_terms(layout, obs).terms(assemble_theta(state, layout),
+                                              want_grad)
+    if out is None:
+        return -np.inf, None, None, None
+    contrib, w = out   # per-entry log terms and d logp / d theta
+    gamma = spec.gamma
+
+    logp = float(np.sum(contrib))
+    grad_u = grad_v = grad_mean = None
+    if want_grad:
+        grad_u = w @ state.v.T
+        grad_v = state.u.T @ w
+        if layout.use_mean_row:
+            grad_mean = w.sum(axis=0)
+
+    if gamma > 0:
+        log_b, log_c = gaussian_block_terms(state, spec, layout)
+        logp += gamma * (log_b + log_c)
+        if want_grad:
+            su, sv = spec.sigmas(layout)
+            grad_u = grad_u - gamma * state.u / su
+            grad_v = grad_v - gamma * state.v / sv[:, None]
+
+    if not np.isfinite(logp):
+        # overflow inside g (e.g. huge Poisson rates) counts as infeasible
+        return -np.inf, None, None, None
+    if want_grad:
+        grad_v[layout.zero_mask] = 0.0
+        if not (np.all(np.isfinite(grad_u)) and np.all(np.isfinite(grad_v))
+                and (grad_mean is None or np.all(np.isfinite(grad_mean)))):
+            return -np.inf, None, None, None
+    return logp, grad_u, grad_v, grad_mean
 
 
 def log_prior_unnorm(state: FactorState, spec: PriorSpec,
@@ -130,42 +173,4 @@ def log_prior_unnorm(state: FactorState, spec: PriorSpec,
     beta = 0 the conjugate term is skipped without evaluating g, so
     domain violations of Theta do not matter there.
     """
-    total = 0.0
-    if spec.beta > 0:
-        total += spec.entry_terms(layout).value(assemble_theta(state, layout))
-    if spec.gamma > 0:
-        log_b, log_c = gaussian_block_terms(state, spec, layout)
-        total += spec.gamma * (log_b + log_c)
-    return float(total)
-
-
-def grad_log_prior(state: FactorState, spec: PriorSpec, layout: BlockLayout):
-    """Gradients of log_prior_unnorm wrt U, the free entries of V, and the
-    mean row (None when the layout has no mean row).
-
-    Masked entries of the V gradient are returned as exact zeros.  Raises
-    GradientUndefined in the -inf region.
-    """
-    grad_u = np.zeros_like(state.u)
-    grad_v = np.zeros_like(state.v)
-    grad_m = np.zeros(layout.d_total) if layout.use_mean_row else None
-
-    if spec.beta > 0:
-        out = spec.entry_terms(layout).terms(assemble_theta(state, layout),
-                                             want_grad=True)
-        if out is None:
-            raise GradientUndefined(
-                "theta outside the family domain with beta > 0")
-        a_grad = out[1]  # d(a term)/d(theta)
-        grad_u += a_grad @ state.v.T
-        grad_v += state.u.T @ a_grad
-        if grad_m is not None:
-            grad_m += a_grad.sum(axis=0)
-
-    if spec.gamma > 0:
-        su, sv = spec.sigmas(layout)
-        grad_u -= spec.gamma * state.u / su
-        grad_v -= spec.gamma * state.v / sv[:, None]
-
-    grad_v[layout.zero_mask] = 0.0
-    return grad_u, grad_v, grad_m
+    return log_density(state, None, layout, spec, want_grad=False)[0]

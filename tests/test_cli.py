@@ -122,9 +122,9 @@ def test_fit_rerun_is_deterministic(tmp_path):
 
 # ------------------------------------------------------------------- impute
 
-def test_impute_chain_predictions(tmp_path):
+def _gibecca_impute_config(tmp_path, options):
     csv_path, desc_path = _csv_dataset(tmp_path, seed=6, n=12, d=6)
-    cfg = _write_json(tmp_path / "cfg.json", {
+    return _write_json(tmp_path / "cfg.json", {
         "data": {"csv": csv_path,
                  "descriptor": _write_json(tmp_path / "d6.json",
                                            {"view_widths": [6, 0],
@@ -133,10 +133,14 @@ def test_impute_chain_predictions(tmp_path):
                    "families": "bernoulli"},
         "prior": {"beta": 0.3, "a_hyper": [0.5, 1.0]},
         "engine": "gibecca",
-        "options": {"n_samples": 40, "burn_in": 30},
+        "options": options,
         "holdout": {"fraction": 0.15, "seed": 2},
         "seed": 1,
     })
+
+
+def test_impute_chain_predictions(tmp_path):
+    cfg = _gibecca_impute_config(tmp_path, {"n_samples": 40, "burn_in": 30})
     out = tmp_path / "out"
     assert main(["impute", "--config", cfg, "--out", str(out)]) == 0
 
@@ -149,6 +153,15 @@ def test_impute_chain_predictions(tmp_path):
         _, _, true, pred = line.split(",")
         assert float(true) in (0.0, 1.0)
         assert 0.0 < float(pred) < 1.0     # posterior mean of a probability
+
+
+def test_impute_empty_chain_exits_3(tmp_path, capsys):
+    """A chain without samples has no predictive: a numeric failure, not a
+    traceback from averaging zero predictions."""
+    cfg = _gibecca_impute_config(tmp_path, {"n_samples": 0, "burn_in": 2})
+    assert main(["impute", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "numeric failure: StatError" in capsys.readouterr().err
 
 
 def test_impute_gaussian_loglik_matches_predictions(tmp_path):
@@ -225,6 +238,10 @@ def _valid_fit_config(tmp_path):
     lambda c: c.update(engine="gibecca", options={"infer_hypers": "false"}),
     lambda c: c.update(engine="hmc",
                        options={"exchange": {"inner_sweeps": "many"}}),
+    lambda c: c["layout"].update(mean_row="false"),
+    lambda c: c.update(engine="gibecca", options={"thin": 0}),
+    lambda c: c.update(engine="hmc", options={"n_leapfrog": 0}),
+    lambda c: c.update(engine="hmc", options={"n_samples": -1}),
 ])
 def test_config_problems_exit_2(tmp_path, capsys, mutate):
     cfg = _valid_fit_config(tmp_path)
@@ -232,6 +249,27 @@ def test_config_problems_exit_2(tmp_path, capsys, mutate):
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, value, field", [
+    ("layout", {"mean_row": "false"}, "layout.mean_row"),
+    ("gibecca", {"n_samples": 5, "thin": 0}, "options.thin"),
+    ("gibecca", {"burn_in": -1}, "options.burn_in"),
+    ("hmc", {"n_leapfrog": 0}, "options.n_leapfrog"),
+    ("map", {"restarts": 0}, "options.restarts"),
+])
+def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
+                                           value, field):
+    """A string for layout.mean_row used to fit a mean row, thin 0 gave an
+    empty chain, n_leapfrog 0 a traceback and restarts 0 a FitError."""
+    cfg = _valid_fit_config(tmp_path)
+    if section == "layout":
+        cfg["layout"].update(value)
+    else:
+        cfg.update(engine=section, options=value)
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    assert main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
 
 
 def test_descriptor_alpha_is_rejected(tmp_path, capsys):

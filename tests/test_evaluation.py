@@ -105,9 +105,10 @@ def test_heldout_loglik_point_estimates():
     obs = ObservationSet(x, observed, lay.view_widths, lay.families)
     held = np.array([[True, False]])
     theta = np.zeros((1, 2))
-    assert heldout_loglik(theta, obs, held, lay) == pytest.approx(-LOG2)
-    state = FactorState(np.zeros((1, 1)), np.zeros((1, 2)))
-    assert heldout_loglik(state, obs, held, lay) == pytest.approx(-LOG2)
+    assert heldout_loglik([theta], obs, held, lay) == pytest.approx(-LOG2)
+    # one sample is scored exactly, with no Monte Carlo rounding
+    assert heldout_loglik([theta], obs, held, lay) == \
+        log_pdf_sum_at(obs, theta, lay, held)
 
 
 def test_heldout_loglik_empty_mask_is_zero():
@@ -116,7 +117,7 @@ def test_heldout_loglik_empty_mask_is_zero():
                          lay.view_widths, lay.families)
     held = np.zeros((2, 2), dtype=bool)
     # a fully observed training mask leaves nothing to hold out
-    assert heldout_loglik(np.zeros((2, 2)), obs, held, lay) == 0.0
+    assert heldout_loglik([np.zeros((2, 2))], obs, held, lay) == 0.0
 
 
 def test_heldout_loglik_rejects_overlap_and_shape():
@@ -124,10 +125,10 @@ def test_heldout_loglik_rejects_overlap_and_shape():
     obs = ObservationSet(np.zeros((2, 2)), np.ones((2, 2), dtype=bool),
                          lay.view_widths, lay.families)
     with pytest.raises(MaskError):
-        heldout_loglik(np.zeros((2, 2)), obs,
+        heldout_loglik([np.zeros((2, 2))], obs,
                        np.array([[True, False], [False, False]]), lay)
     with pytest.raises(MaskError):
-        heldout_loglik(np.zeros((2, 2)), obs, np.ones((3, 2), dtype=bool),
+        heldout_loglik([np.zeros((2, 2))], obs, np.ones((3, 2), dtype=bool),
                        lay)
 
 
@@ -143,11 +144,11 @@ def test_heldout_loglik_chain_is_logsumexp():
                   thetas=thetas)
     lls = np.array([log_pdf_sum_at(obs, t, lay, held) for t in thetas])
     expect = special.logsumexp(lls) - np.log(3.0)
-    assert heldout_loglik(chain, obs, held, lay) == pytest.approx(
-        expect, rel=1e-12)
+    assert heldout_loglik(chain.theta_samples(lay), obs, held,
+                          lay) == pytest.approx(expect, rel=1e-12)
     empty = Chain([], np.array([]), np.array([]))
     with pytest.raises(StatError):
-        heldout_loglik(empty, obs, held, lay)
+        heldout_loglik(empty.theta_samples(lay), obs, held, lay)
 
 
 # --------------------------------------------------------------------- knn

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from expfamproj import (ConjugateHyper, FactorState, GradientUndefined,
-                        PriorSpec, get_family, grad_log_prior,
-                        log_prior_unnorm, make_layout)
+from expfamproj import (ConjugateHyper, FactorState, ObservationSet,
+                        PriorSpec, get_family, log_density, log_prior_unnorm,
+                        make_layout)
 from expfamproj.prior import gaussian_block_terms
 
 from conftest import central_diff_grad, make_rng
@@ -93,8 +93,7 @@ def test_domain_violation_returns_neg_inf():
     state = FactorState(np.array([[1.0]]), np.array([[1.0]]))  # theta = 1 > 0
     spec = PriorSpec(beta=0.5, a_hyper=ConjugateHyper(1.0, 1.0))
     assert log_prior_unnorm(state, spec, lay) == -np.inf
-    with pytest.raises(GradientUndefined):
-        grad_log_prior(state, spec, lay)
+    assert log_density(state, None, lay, spec) == (-np.inf, None, None, None)
     # beta = 0 never evaluates the cumulant, so the same state is fine
     spec0 = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(1.0, 1.0))
     assert np.isfinite(log_prior_unnorm(state, spec0, lay))
@@ -108,7 +107,7 @@ def test_beta_zero_gradient_closed_form():
     state = _random_state(lay, rng)
     spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.0, 1.0),
                      sigma_u=0.5, sigma_v=2.0, gamma=0.7)
-    gu, gv, gm = grad_log_prior(state, spec, lay)
+    _, gu, gv, gm = log_density(state, None, lay, spec)
     assert np.allclose(gu, -0.7 * state.u / 0.5, atol=1e-12)
     assert np.allclose(gv, -0.7 * state.v / 2.0, atol=1e-12)
     assert gm is None
@@ -119,7 +118,7 @@ def test_gradient_zero_on_structural_zeros():
     rng = make_rng(9, 5)
     state = _random_state(lay, rng, scale=0.3)
     spec = PriorSpec(beta=0.8, a_hyper=ConjugateHyper(0.1, 0.2))
-    _, gv, _ = grad_log_prior(state, spec, lay)
+    _, _, gv, _ = log_density(state, None, lay, spec)
     assert np.all(gv[lay.zero_mask] == 0.0)
 
 
@@ -139,7 +138,7 @@ def _fd_check(layout, spec, state, tol=1e-6):
     def fun(x):
         return log_prior_unnorm(unpack(x), spec, layout)
 
-    gu, gv, _ = grad_log_prior(state, spec, layout)
+    _, gu, gv, _ = log_density(state, None, layout, spec)
     analytic = np.concatenate([gu.ravel(), gv[free]])
     numeric = central_diff_grad(fun, pack(state), eps=1e-6)
     scale = np.maximum(np.abs(numeric), 1.0)
@@ -187,11 +186,34 @@ def test_gradient_fd_with_zero_blocks_and_mean_row():
         m = x[nu_ + nv_:]
         return log_prior_unnorm(FactorState(u, v, m), spec, lay)
 
-    gu, gv, gm = grad_log_prior(state, spec, lay)
+    _, gu, gv, gm = log_density(state, None, lay, spec)
     x0 = np.concatenate([state.u.ravel(), state.v[free], state.mean_row])
     numeric = central_diff_grad(fun, x0)
     analytic = np.concatenate([gu.ravel(), gv[free], gm])
     assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.4])
+def test_posterior_without_data_is_the_prior(beta):
+    """With every entry unobserved the posterior density is the prior
+    density, value and gradients, to the last bit."""
+    lay = make_layout("epls", (2, 3), (1, 1), ("bernoulli", "poisson"),
+                      use_mean_row=True)
+    rng = make_rng(9, 9)
+    state = _random_state(lay, rng, scale=0.4)
+    state = FactorState(state.u, state.v,
+                        mean_row=0.1 * rng.standard_normal(lay.d_total))
+    x = rng.integers(0, 2, (4, lay.d_total)).astype(float)
+    none_seen = ObservationSet(x, np.zeros(x.shape, dtype=bool),
+                               lay.view_widths, lay.families)
+    spec = PriorSpec(beta=beta, a_hyper=(ConjugateHyper(0.1, 0.2),
+                                         ConjugateHyper(0.5, 1.0)),
+                     sigma_u=0.8, sigma_v=1.2)
+    prior = log_density(state, None, lay, spec)
+    posterior = log_density(state, none_seen, lay, spec)
+    assert posterior[0] == prior[0] == log_prior_unnorm(state, spec, lay)
+    for got, want in zip(posterior[1:], prior[1:]):
+        assert np.array_equal(got, want)
 
 
 # -------------------------------------------------------------------- spec
