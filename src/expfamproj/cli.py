@@ -105,9 +105,17 @@ _OPTION_CLASSES = {"map": MapOptions, "hmc": HmcOptions,
                    "gibecca": GibeccaOptions}
 _UNSETTABLE = {"fix_v", "initial_state", "initial_theta"}
 # smallest accepted counts; an engine without the field rejects it as
-# unknown first
+# unknown first.  The exchange stationarity check compares the means of
+# two halves of the inner trace, so it needs at least one sweep in each.
 _MINIMUMS = {"n_samples": 0, "burn_in": 0, "thin": 1, "n_leapfrog": 1,
-             "restarts": 1}
+             "restarts": 1, "inner_sweeps": 2}
+
+
+def _check_minimums(kwargs, path):
+    for key, lo in _MINIMUMS.items():
+        if kwargs.get(key, lo) < lo:
+            raise ConfigError(f"{path}.{key}: must be at least {lo}, "
+                              f"got {kwargs[key]}")
 
 
 def build_options(engine, d, path="options", seed=None):
@@ -118,14 +126,13 @@ def build_options(engine, d, path="options", seed=None):
     d = dict(_as_dict(d, path)) if d is not None else {}
     exchange = d.pop("exchange", None)
     kwargs = coerce_fields(cls, d, path, f"engine {engine}", _UNSETTABLE)
-    for key, lo in _MINIMUMS.items():
-        if kwargs.get(key, lo) < lo:
-            raise ConfigError(f"{path}.{key}: must be at least {lo}, "
-                              f"got {kwargs[key]}")
+    _check_minimums(kwargs, path)
     if engine == "hmc" and exchange is not None:
         sub = f"{path}.exchange"
-        kwargs["exchange"] = _wrap(sub, ExchangeOptions, **coerce_fields(
-            ExchangeOptions, _as_dict(exchange, sub), sub, "exchange"))
+        sub_kwargs = coerce_fields(ExchangeOptions, _as_dict(exchange, sub),
+                                   sub, "exchange")
+        _check_minimums(sub_kwargs, sub)
+        kwargs["exchange"] = _wrap(sub, ExchangeOptions, **sub_kwargs)
     elif exchange is not None:
         raise ConfigError(f"{path}.exchange: only the hmc engine takes "
                           "exchange options")

@@ -25,6 +25,10 @@ from .prior import PriorSpec, gaussian_block_terms, log_prior_unnorm
 
 TARGET_ACCEPT = 0.75
 ADAPT_RATE = 0.05
+# Theta entries scored per batched kernel pass of an inner prior chain:
+# enough candidates to amortise the per-call overhead at small shapes, few
+# enough that each array of a chunk stays near half a megabyte
+_CHUNK_ENTRIES = 2 ** 16
 
 
 class ChainError(RuntimeError):
@@ -173,6 +177,14 @@ def sample_prior_approx(spec: PriorSpec, layout: BlockLayout, n_rows: int,
     of the log f trace; returns (state, flagged) with flagged = True when
     the halves disagree beyond three combined standard errors or no
     proposal was ever accepted.
+
+    Each sweep draws U's normals, then V's, then one uniform, whatever
+    its outcome.  The sweeps run in chunks: a chunk's random numbers are
+    drawn in that order, its candidates' Theta come from one batched
+    product and are scored by one pass of the entrywise kernel, and the
+    accept/reject decisions then run in sweep order.  The Gaussian terms
+    of log f are computed once per state the chain holds, not once per
+    sweep.
     """
     opts = opts or ExchangeOptions()
     if spec.gamma <= 0:
@@ -183,31 +195,50 @@ def sample_prior_approx(spec: PriorSpec, layout: BlockLayout, n_rows: int,
     k, d = layout.k_total, layout.d_total
     kernel = spec.entry_terms(layout)
 
-    def draw():
-        u = sd_u * rng.standard_normal((n_rows, k))
-        v = sd_v[:, None] * rng.standard_normal((k, d))
-        v[layout.zero_mask] = 0.0
-        state = FactorState(u, v, mean_row)
-        # beta-weighted conjugate part of the log prior, -inf out of domain
-        return state, kernel.value(assemble_theta(state, layout))
+    def draw(m, log_unif=None):
+        """m candidates (us, vs) with the beta-weighted conjugate part of
+        each one's log prior, -inf out of domain; fills log_unif with one
+        log uniform per candidate when given."""
+        us, vs = np.empty((m, n_rows, k)), np.empty((m, k, d))
+        for j in range(m):
+            rng.standard_normal(out=us[j])
+            rng.standard_normal(out=vs[j])
+            if log_unif is not None:
+                log_unif[j] = np.log(rng.random())
+        us *= sd_u
+        vs *= sd_v[:, None]
+        vs[:, layout.zero_mask] = 0.0
+        theta = assemble_theta(FactorState(us, vs, mean_row), layout)
+        return us, vs, kernel.value(theta)
 
-    state, conj = draw()
+    def draw_one():
+        us, vs, conj = draw(1)
+        return FactorState(us[0], vs[0], mean_row), conj[0]
+
+    state, conj = draw_one()
     for _ in range(50):
         if np.isfinite(conj):
             break
-        state, conj = draw()
+        state, conj = draw_one()
     else:
         return state, True
 
     trace = np.empty(opts.inner_sweeps)
     n_accept = 0
-    for s in range(opts.inner_sweeps):
-        cand, conj_c = draw()
-        if np.log(rng.random()) < conj_c - conj:
-            state, conj = cand, conj_c
-            n_accept += 1
-        log_b, log_c = gaussian_block_terms(state, spec, layout)
-        trace[s] = conj + spec.gamma * (log_b + log_c)
+    gauss = None     # gamma * (log b + log c) at state, once a trace needs it
+    chunk = max(1, _CHUNK_ENTRIES // max(1, n_rows * d))
+    for start in range(0, opts.inner_sweeps, chunk):
+        log_unif = np.empty(min(chunk, opts.inner_sweeps - start))
+        us, vs, conj_c = draw(len(log_unif), log_unif)
+        for j, log_u in enumerate(log_unif):
+            if log_u < conj_c[j] - conj:
+                state, conj = FactorState(us[j], vs[j], mean_row), conj_c[j]
+                n_accept += 1
+                gauss = None
+            if gauss is None:
+                log_b, log_c = gaussian_block_terms(state, spec, layout)
+                gauss = spec.gamma * (log_b + log_c)
+            trace[start + j] = conj + gauss
 
     half = opts.inner_sweeps // 2
     first, second = trace[:half], trace[half:]

@@ -190,8 +190,13 @@ class FactorState:
 
 
 def assemble_theta(state: FactorState, layout: BlockLayout) -> np.ndarray:
-    """Theta = U V (+ mean_row broadcast over rows when the layout has one)."""
-    if state.u.shape[1] != state.v.shape[0] or state.v.shape[1] != layout.d_total:
+    """Theta = U V (+ mean_row broadcast over rows when the layout has one).
+
+    U and V may be stacks (..., N, K) and (..., K, D); Theta is then the
+    stack of their products.
+    """
+    if (state.u.shape[-1] != state.v.shape[-2]
+            or state.v.shape[-1] != layout.d_total):
         raise ShapeError(
             f"cannot assemble: U is {state.u.shape}, V is {state.v.shape}, "
             f"layout D = {layout.d_total}")
@@ -284,14 +289,22 @@ class EntryTerms:
             for i, (fam, c) in enumerate(zip(families, cols))
             if x is not None or beta > 0]
 
+    def in_domain(self, theta):
+        """Per slice of theta (..., N, D): True where every scored entry
+        lies in its view family's domain."""
+        ok = np.ones(np.shape(theta)[:-2], dtype=bool)
+        for fam, cols, *_ in self.views:
+            ok &= np.all(fam.in_domain(theta[..., cols]), axis=(-2, -1))
+        return ok
+
     def terms(self, theta, want_grad=False):
-        """(values, d values / d theta), each shaped like theta; the
-        derivative is None unless want_grad.  None when theta leaves the
-        domain of any view's family."""
+        """(values, d values / d theta), each shaped like theta, which may
+        be a stack (..., N, D); the derivative is None unless want_grad.
+        None when any entry leaves the domain of its view's family."""
         vals = np.zeros_like(theta)
         grad = np.zeros_like(theta) if want_grad else None
         for fam, cols, x, m, w, lam, nu in self.views:
-            t = theta[:, cols]
+            t = theta[..., cols]
             if not np.all(fam.in_domain(t)):
                 return None
             g = fam._g(t)
@@ -300,7 +313,7 @@ class EntryTerms:
                 val = np.where(m, x * t + fam._h(x) - g, 0.0) * w
             if self.beta > 0:
                 val = val + self.beta * (lam * t - nu * g)
-            vals[:, cols] = val
+            vals[..., cols] = val
             if want_grad:
                 mu = fam._gprime(t)
                 dval = 0.0
@@ -308,13 +321,22 @@ class EntryTerms:
                     dval = np.where(m, x - mu, 0.0) * w
                 if self.beta > 0:
                     dval = dval + self.beta * (lam - nu * mu)
-                grad[:, cols] = dval
+                grad[..., cols] = dval
         return vals, grad
 
-    def value(self, theta) -> float:
-        """Sum of the entry terms, -inf outside the domain."""
-        out = self.terms(theta)
-        return -np.inf if out is None else float(np.sum(out[0]))
+    def value(self, theta):
+        """Sum of the entry terms over the last two axes: a float for one
+        N x D theta, an array of per-slice sums for a stack (..., N, D).
+        A slice with an entry outside the domain gives -inf and is not
+        evaluated."""
+        ok = self.in_domain(theta)
+        if ok.all():
+            sums = np.sum(self.terms(theta)[0], axis=(-2, -1))
+        else:
+            sums = np.full(ok.shape, -np.inf)
+            if ok.any():
+                sums[ok] = np.sum(self.terms(theta[ok])[0], axis=(-2, -1))
+        return float(sums) if sums.ndim == 0 else sums
 
     def log_ratio(self, old, star):
         """Per-entry log ratio of the terms at star over those at old;

@@ -242,6 +242,10 @@ def _valid_fit_config(tmp_path):
     lambda c: c.update(engine="gibecca", options={"thin": 0}),
     lambda c: c.update(engine="hmc", options={"n_leapfrog": 0}),
     lambda c: c.update(engine="hmc", options={"n_samples": -1}),
+    lambda c: c.update(engine="hmc",
+                       options={"exchange": {"inner_sweeps": 0}}),
+    lambda c: c.update(engine="hmc",
+                       options={"exchange": {"inner_sweeps": 1}}),
 ])
 def test_config_problems_exit_2(tmp_path, capsys, mutate):
     cfg = _valid_fit_config(tmp_path)
@@ -257,11 +261,14 @@ def test_config_problems_exit_2(tmp_path, capsys, mutate):
     ("gibecca", {"burn_in": -1}, "options.burn_in"),
     ("hmc", {"n_leapfrog": 0}, "options.n_leapfrog"),
     ("map", {"restarts": 0}, "options.restarts"),
+    ("hmc", {"infer_hyper": True, "exchange": {"inner_sweeps": 1}},
+     "options.exchange.inner_sweeps"),
 ])
 def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
                                            value, field):
     """A string for layout.mean_row used to fit a mean row, thin 0 gave an
-    empty chain, n_leapfrog 0 a traceback and restarts 0 a FitError."""
+    empty chain, n_leapfrog 0 a traceback, restarts 0 a FitError and
+    inner_sweeps 0 or 1 a stationarity check on empty halves."""
     cfg = _valid_fit_config(tmp_path)
     if section == "layout":
         cfg["layout"].update(value)

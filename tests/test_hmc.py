@@ -1,5 +1,7 @@
 """HMC transitions, exchange hyperparameter moves, and full chains."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,6 +12,8 @@ from expfamproj import (ChainError, ConfigError, ConjugateHyper,
                         hmc_step, make_layout, run_hmc_chain,
                         sample_prior_approx)
 from expfamproj.hmc_infer import _leapfrog
+from expfamproj.model import assemble_theta
+from expfamproj.prior import gaussian_block_terms
 
 from conftest import batch_means_se, dense_observations, grid_stats, make_rng
 
@@ -207,6 +211,96 @@ def test_sample_prior_approx_respects_zero_mask():
     st, _ = sample_prior_approx(spec, lay, 4, make_rng(14, 11),
                                 ExchangeOptions(inner_sweeps=3))
     assert np.all(st.v[lay.zero_mask] == 0.0)
+
+
+def _sample_prior_per_sweep(spec, layout, n_rows, rng, opts, mean_row=None):
+    """The inner prior chain one sweep at a time: one candidate, one kernel
+    call and one Gaussian-terms call per sweep (the loop that
+    sample_prior_approx scores in chunks)."""
+    su, sv = spec.sigmas(layout)
+    sd_u = np.sqrt(su / spec.gamma)
+    sd_v = np.sqrt(sv / spec.gamma)
+    k, d = layout.k_total, layout.d_total
+    kernel = spec.entry_terms(layout)
+
+    def draw():
+        u = sd_u * rng.standard_normal((n_rows, k))
+        v = sd_v[:, None] * rng.standard_normal((k, d))
+        v[layout.zero_mask] = 0.0
+        state = FactorState(u, v, mean_row)
+        return state, kernel.value(assemble_theta(state, layout))
+
+    state, conj = draw()
+    for _ in range(50):
+        if np.isfinite(conj):
+            break
+        state, conj = draw()
+    else:
+        return state, True
+
+    trace = np.empty(opts.inner_sweeps)
+    n_accept = 0
+    for s in range(opts.inner_sweeps):
+        cand, conj_c = draw()
+        if np.log(rng.random()) < conj_c - conj:
+            state, conj = cand, conj_c
+            n_accept += 1
+        log_b, log_c = gaussian_block_terms(state, spec, layout)
+        trace[s] = conj + spec.gamma * (log_b + log_c)
+
+    half = opts.inner_sweeps // 2
+    first, second = trace[:half], trace[half:]
+    se = np.sqrt(first.var() / max(len(first), 1)
+                 + second.var() / max(len(second), 1))
+    flagged = (n_accept == 0) or \
+        (abs(first.mean() - second.mean()) > 3.0 * se + 1e-12)
+    return state, flagged
+
+
+_HYPERS = {"poisson": ConjugateHyper(1.0, 1.0),
+           "bernoulli": ConjugateHyper(0.5, 1.0),
+           "exponential": ConjugateHyper(1.0, 1.0)}
+
+
+@pytest.mark.parametrize("layout_args, beta, sigma, mean, n_rows, sweeps", [
+    # 50 x 40: chunks of 32 sweeps, the last one partial
+    (("ecca", (20, 20), (2, 1, 2), "poisson"), 0.1, 1.0, None, 50, 200),
+    (("ecca", (20, 20), (2, 1, 2), "poisson"), 0.0, 1.0, None, 50, 40),
+    # 300 x 40: chunks of 5 sweeps
+    (("epca", 40, 3, "bernoulli"), 0.1, 1.0, None, 300, 7),
+    (("epca", 40, 3, "bernoulli"), 0.0, 1.0, None, 1, 3),
+    # a mean row keeps most, not all, candidates inside the exponential
+    # domain: chunks of 46 sweeps, about a quarter of them scored -inf
+    (("epls", (3, 4), (1, 1), "exponential"), 0.1, 0.4, -3.0, 200, 60),
+    # no in-domain start in 51 draws: flagged before any sweep
+    (("epca", 4, 2, "exponential"), 0.1, 1.0, None, 5, 20),
+    # 1700 x 40 Theta entries exceed one chunk's budget: one sweep each
+    (("epca", 40, 3, "poisson"), 0.1, 1.0, None, 1700, 3),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sample_prior_approx_matches_per_sweep_chain(layout_args, beta, sigma,
+                                                     mean, n_rows, sweeps,
+                                                     seed):
+    """Chunked scoring draws the same random numbers in the same order
+    and makes the same decisions: the same bytes, flag and RNG state."""
+    lay = make_layout(*layout_args, use_mean_row=mean is not None)
+    spec = PriorSpec(beta=beta, a_hyper=_HYPERS[layout_args[3]],
+                     sigma_u=sigma, sigma_v=sigma)
+    mean_row = None if mean is None else np.full(lay.d_total, mean)
+    opts = ExchangeOptions(inner_sweeps=sweeps)
+
+    ref_rng, rng = make_rng(14, 20, seed), make_rng(14, 20, seed)
+    ref, ref_flag = _sample_prior_per_sweep(spec, lay, n_rows, ref_rng, opts,
+                                            mean_row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, flag = sample_prior_approx(spec, lay, n_rows, rng, opts,
+                                        mean_row)
+    assert out.u.tobytes() == ref.u.tobytes()
+    assert out.v.tobytes() == ref.v.tobytes()
+    assert out.mean_row is mean_row
+    assert flag == ref_flag
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ------------------------------------------------------------- full chains

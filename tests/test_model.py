@@ -1,6 +1,7 @@
 """Layout construction, Theta assembly, masked likelihoods, data loading."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,28 @@ def test_entry_terms_log_ratio_and_domain(families):
     if (~in_dom).any():
         assert terms.terms(star) is None
         assert terms.value(star) == -np.inf
+
+
+def test_entry_terms_value_scores_each_slice_of_a_stack():
+    """A stack (..., N, D) gives one sum per slice, equal to the value of
+    that slice alone; only the slice with an out-of-domain entry is -inf,
+    and it raises no RuntimeWarning."""
+    fams, cols, x, mask, theta = _entry_case(("gaussian", "exponential"), 3)
+    hypers = (ConjugateHyper(0.5, 1.0), ConjugateHyper(0.2, 1.5))
+    terms = EntryTerms(fams, cols, x, mask, (1.0, 1.0), 0.3, hypers)
+    rng = make_rng(3, 7)
+    stack = theta + 0.05 * rng.standard_normal((2, 3) + theta.shape)
+    stack[..., 3:] = np.minimum(stack[..., 3:], -1e-3)
+    stack[1, 2, 4, 6] = 0.5           # out of the exponential view's domain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sums = terms.value(stack)
+        singles = [[terms.value(s) for s in row] for row in stack]
+    assert sums.shape == (2, 3)
+    assert all(type(v) is float for row in singles for v in row)
+    assert np.all(sums == np.array(singles))
+    assert sums[1, 2] == -np.inf
+    assert np.sum(np.isfinite(sums)) == 5
 
 
 def test_entry_terms_without_data_or_beta_score_nothing():
