@@ -204,14 +204,17 @@ def propose_theta_rows(stage: GaussianStageState, layout: BlockLayout,
 
 def mh_accept_elements(obs: ObservationSet, theta_old: np.ndarray,
                        theta_star: np.ndarray, spec: PriorSpec,
-                       rng: np.random.Generator):
+                       rng: np.random.Generator, *, kernel=None):
     """Element-wise MH accept/reject of the proposed Theta.
 
     Returns (theta_new, accepted_mask).  Out-of-domain proposals are
     always rejected; unobserved entries have no likelihood term and accept
-    whenever the proposal is in-domain.
+    whenever the proposal is in-domain.  kernel, when given, is
+    spec.entry_terms(None, obs) built once for a whole chain.
     """
-    log_r = spec.entry_terms(None, obs).log_ratio(theta_old, theta_star)
+    if kernel is None:
+        kernel = spec.entry_terms(None, obs)
+    log_r = kernel.log_ratio(theta_old, theta_star)
     accept = np.log(rng.random(theta_old.shape)) < log_r
     return np.where(accept, theta_star, theta_old), accept
 
@@ -268,6 +271,7 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
         theta = init_theta(obs, layout, rng)
     stage = init_gaussian_stage(layout, spec, obs.n_rows, rng,
                                 opts.resid_init, opts.fix_v)
+    kernel = spec.entry_terms(None, obs)
 
     n_total = opts.burn_in + opts.n_samples * opts.thin
     states, thetas, wall, loglik = [], [], [], []
@@ -283,7 +287,7 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
                                      infer_variances=opts.infer_hypers)
         theta_star = propose_theta_rows(stage, layout, rng)
         theta, accepted = mh_accept_elements(obs, theta, theta_star, spec,
-                                             rng)
+                                             rng, kernel=kernel)
         n_acc += int(accepted.sum())
         n_tot += accepted.size
 

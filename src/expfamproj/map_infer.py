@@ -14,6 +14,7 @@ equivalent single-view layout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -88,13 +89,18 @@ class FreeParams:
 
     def log_density(self, obs: ObservationSet, spec: PriorSpec):
         """x -> (log posterior, its packed gradient) over the free
-        coordinates; (-inf, None) at infeasible points."""
-        def fn(x):
+        coordinates; (-inf, None) at infeasible points, and the gradient
+        None when called with want_grad=False.  The entrywise kernel is
+        built here once and shared by every evaluation."""
+        kernel = spec.entry_terms(self.layout, obs)
+
+        def fn(x, want_grad=True):
             logp, gu, gv, gm = posterior_logp_and_grad(
-                self.unpack(x), obs, self.layout, spec)
+                self.unpack(x), obs, self.layout, spec, want_grad,
+                kernel=kernel)
             if not np.isfinite(logp):
                 return -np.inf, None
-            return logp, self.pack_grad(gu, gv, gm)
+            return logp, self.pack_grad(gu, gv, gm) if want_grad else None
         return fn
 
 
@@ -103,9 +109,10 @@ class FreeParams:
 
 def posterior_logp_and_grad(state: FactorState, obs: ObservationSet,
                             layout: BlockLayout, spec: PriorSpec,
-                            want_grad=True):
+                            want_grad=True, *, kernel=None):
     """Unnormalised log posterior and its gradients wrt (U, V, mean_row):
-    prior.log_density of obs, with overflow warnings silenced.
+    prior.log_density of obs (with its optional prepared kernel), with
+    overflow warnings silenced.
 
     Returns (logp, grad_u, grad_v, grad_mean); the gradients are None when
     logp is -inf (out-of-domain Theta with beta > 0) or want_grad is False.
@@ -113,15 +120,27 @@ def posterior_logp_and_grad(state: FactorState, obs: ObservationSet,
     and MH steps can treat them as rejections.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return log_density(state, obs, layout, spec, want_grad)
+        return log_density(state, obs, layout, spec, want_grad,
+                           kernel=kernel)
 
 
 def _objective(density):
-    """Negative log posterior for minimize_cg, +inf where infeasible."""
+    """Negative log posterior for minimize_cg: x -> (value, gradient
+    thunk), the value +inf where infeasible.  Only the value is computed
+    here; the thunk forms the gradient, or None where it is not finite."""
     def fun_and_grad(x):
-        logp, grad = density(x)
-        return (np.inf, None) if grad is None else (-logp, -grad)
+        logp, _ = density(x, want_grad=False)
+        return -logp, functools.partial(_negative_gradient, density, x)
     return fun_and_grad
+
+
+def _negative_gradient(density, x):
+    # a module function, not a closure over fun_and_grad: a thunk that
+    # referred back to its objective would close a reference cycle and
+    # keep each objective's kernel and data alive until the cyclic
+    # garbage collector ran
+    grad = density(x)[1]
+    return None if grad is None else -grad
 
 
 # ---------------------------------------------------------------------------

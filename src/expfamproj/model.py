@@ -274,7 +274,9 @@ class EntryTerms:
     the weighted log-likelihood plus the beta-weighted conjugate kernel.
     Without data (x is None) only the kernel is scored, with beta = 0 only
     the likelihood, and with neither nothing (no domain check either).
-    Views hold slices of x and mask, not copies.
+    The column slices cols partition the columns of theta.  Views hold
+    slices of x and mask, not copies, and h(x) computed once, so one
+    kernel serves every evaluation on the same data.
     """
 
     def __init__(self, families, cols, x=None, mask=None, weights=None,
@@ -282,12 +284,18 @@ class EntryTerms:
         self.beta = beta
         self.views = [
             (fam, c, None if x is None else x[:, c],
+             None if x is None else fam._h(x[:, c]),
              None if x is None else mask[:, c],
              1.0 if weights is None else weights[i],
              hypers[i].lam if beta > 0 else 0.0,
              hypers[i].nu if beta > 0 else 0.0)
             for i, (fam, c) in enumerate(zip(families, cols))
             if x is not None or beta > 0]
+
+    def _alloc(self, theta):
+        """An array shaped like theta for per-entry output: the views
+        cover every column, so only an empty kernel needs zeros."""
+        return (np.empty_like if self.views else np.zeros_like)(theta)
 
     def in_domain(self, theta):
         """Per slice of theta (..., N, D): True where every scored entry
@@ -301,16 +309,16 @@ class EntryTerms:
         """(values, d values / d theta), each shaped like theta, which may
         be a stack (..., N, D); the derivative is None unless want_grad.
         None when any entry leaves the domain of its view's family."""
-        vals = np.zeros_like(theta)
-        grad = np.zeros_like(theta) if want_grad else None
-        for fam, cols, x, m, w, lam, nu in self.views:
+        vals = self._alloc(theta)
+        grad = self._alloc(theta) if want_grad else None
+        for fam, cols, x, h, m, w, lam, nu in self.views:
             t = theta[..., cols]
             if not np.all(fam.in_domain(t)):
                 return None
             g = fam._g(t)
             val = 0.0
             if x is not None:
-                val = np.where(m, x * t + fam._h(x) - g, 0.0) * w
+                val = np.where(m, x * t + h - g, 0.0) * w
             if self.beta > 0:
                 val = val + self.beta * (lam * t - nu * g)
             vals[..., cols] = val
@@ -341,15 +349,14 @@ class EntryTerms:
     def log_ratio(self, old, star):
         """Per-entry log ratio of the terms at star over those at old;
         -inf where star leaves the domain."""
-        out = np.zeros_like(old)
-        for fam, cols, x, m, w, lam, nu in self.views:
+        out = self._alloc(old)
+        for fam, cols, x, h, m, w, lam, nu in self.views:
             o, s = old[:, cols], star[:, cols]
             dom = fam.in_domain(s)
             s = np.where(dom, s, o)
             g_s, g_o = fam._g(s), fam._g(o)
             r = 0.0
             if x is not None:
-                h = fam._h(x)
                 r = np.where(m, (x * s + h - g_s) - (x * o + h - g_o), 0.0) * w
             if self.beta > 0:
                 r = r + self.beta * (lam * (s - o) - nu * (g_s - g_o))

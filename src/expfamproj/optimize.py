@@ -6,6 +6,12 @@ steepest descent whenever the raw coefficient goes negative.  The line
 search only needs function values, treats +inf as "shrink the step"
 (objectives built on restricted-domain families return +inf outside the
 feasible region), and guarantees a monotone objective trace.
+
+The objective returns its value and a zero-argument function that gives
+the gradient at the same point.  The gradient is formed only at the
+starting point and at the points a line search accepts; a trial step
+that is rejected costs one value.  A gradient of None (not finite)
+rejects the step as an infinite value would.
 """
 
 from __future__ import annotations
@@ -33,13 +39,15 @@ class CGResult:
 def minimize_cg(fun_and_grad, x0, grad_tol, max_iter=2000) -> CGResult:
     """Minimise fun over flat vectors starting from x0.
 
-    fun_and_grad(x) -> (f, g); f may be +inf (with any g) outside the
-    feasible region, but x0 itself must be feasible.  Convergence is
-    declared when the sup norm of the gradient drops below grad_tol.
+    fun_and_grad(x) -> (f, grad), where grad() gives the gradient at x or
+    None where it is not finite; f may be +inf outside the feasible
+    region, but x0 itself must be feasible.  Convergence is declared
+    when the sup norm of the gradient drops below grad_tol.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f, g = fun_and_grad(x)
-    if not np.isfinite(f):
+    f, grad = fun_and_grad(x)
+    g = grad() if np.isfinite(f) else None
+    if g is None:
         raise ValueError("objective is not finite at the initial point")
     trace = [f]
     d = -g
@@ -86,11 +94,14 @@ def minimize_cg(fun_and_grad, x0, grad_tol, max_iter=2000) -> CGResult:
 
 
 def _armijo(fun_and_grad, x, f, d, slope, step):
-    """Backtrack until f(x + step d) <= f + c step slope; None on failure."""
+    """Backtrack until f(x + step d) <= f + c step slope with a finite
+    gradient there; None on failure."""
     for _ in range(MAX_BACKTRACKS):
         x_new = x + step * d
-        f_new, g_new = fun_and_grad(x_new)
+        f_new, grad = fun_and_grad(x_new)
         if np.isfinite(f_new) and f_new <= f + ARMIJO_C * step * slope:
-            return f_new, g_new, x_new, step
+            g_new = grad()
+            if g_new is not None:
+                return f_new, g_new, x_new, step
         step *= ARMIJO_SHRINK
     return None, None, None, step

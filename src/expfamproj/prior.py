@@ -123,16 +123,19 @@ def gaussian_block_terms(state: FactorState, spec: PriorSpec,
 
 
 def log_density(state: FactorState, obs, layout: BlockLayout,
-                spec: PriorSpec, want_grad=True):
+                spec: PriorSpec, want_grad=True, *, kernel=None):
     """Log-likelihood of obs plus log a(UV)^beta b(U)^gamma c(V)^gamma,
     with its gradients wrt (U, V, mean_row); the log prior when obs is None.
 
+    kernel, when given, is spec.entry_terms(layout, obs) built once by a
+    caller that scores the same data many times; the result is the same.
     Returns (logp, grad_u, grad_v, grad_mean), with None for gradients not
     asked for or absent (no mean row) and exact zeros on masked V entries;
     (-inf, None, None, None) out of the domain or where anything overflows.
     """
-    out = spec.entry_terms(layout, obs).terms(assemble_theta(state, layout),
-                                              want_grad)
+    if kernel is None:
+        kernel = spec.entry_terms(layout, obs)
+    out = kernel.terms(assemble_theta(state, layout), want_grad)
     if out is None:
         return -np.inf, None, None, None
     contrib, w = out   # per-entry log terms and d logp / d theta

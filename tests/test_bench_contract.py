@@ -12,6 +12,7 @@ import inspect
 import os
 import sys
 
+import numpy as np
 import pytest
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -58,3 +59,40 @@ def test_probed_recipe_runners_are_in_the_recipe_table():
     for probe in tracer.PROBES:
         if probe.module == "experiments":
             assert _probed(probe.module, probe.function) in runners
+
+
+def test_minimize_cg_calls_its_objective_with_one_argument():
+    """The traced run hands minimize_cg a counted(x) wrapper, which takes
+    exactly one positional argument and no keywords."""
+    optimize = importlib.import_module(f"{tracer.PACKAGE}.optimize")
+    calls = []
+
+    def fun(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        x = args[0]
+        return float(x @ x), lambda: 2.0 * x
+
+    optimize.minimize_cg(fun, np.linspace(-1.0, 1.0, 3), grad_tol=1e-8)
+    assert len(calls) > 1
+    assert all(call == (1, {}) for call in calls)
+
+
+def test_traced_fit_counts_value_and_gradient_calls():
+    """Under the tracer every CG evaluation is a value-only posterior
+    call, and the gradient is formed once per accepted point."""
+    pkg = importlib.import_module(tracer.PACKAGE)
+    lay = pkg.make_layout("epca", 4, 2, "poisson")
+    rng = np.random.default_rng(5)
+    x = rng.poisson(1.0, (12, 4)).astype(float)
+    obs = pkg.ObservationSet(x, np.ones(x.shape, dtype=bool),
+                             lay.view_widths, lay.families)
+    spec = pkg.PriorSpec(beta=0.0, a_hyper=pkg.ConjugateHyper(0.5, 1.0))
+    with tracer.Tracer().installed() as tr:
+        pkg.map_infer.fit_map(obs, lay, spec, pkg.MapOptions(max_iter=30))
+    count = tr.count
+    evals = count["optimize.minimize_cg.evaluations"]
+    post = "map_infer.posterior_logp_and_grad"
+    assert evals > count["optimize.minimize_cg.iterations"] + 1
+    assert count[f"{post}.value_calls"] == evals
+    assert count[f"{post}.grad_calls"] == (
+        count["optimize.minimize_cg.iterations"] + 1)

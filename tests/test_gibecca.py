@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from expfamproj import gibecca
 from expfamproj import (ConfigError, ConjugateHyper, GibeccaOptions,
                         LayoutError, ObservationSet, PriorSpec,
                         gibbs_gaussian_stage, make_layout,
@@ -239,6 +240,31 @@ def test_mh_rejects_out_of_domain_proposals():
     new, acc = mh_accept_elements(obs, old, star, FLAT, make_rng(15, 14))
     assert not acc[0, 0]
     assert new[0, 0] == -1.0
+
+
+def test_chain_kernel_matches_a_kernel_per_sweep(monkeypatch):
+    """run_gibecca scores every refresh with one kernel built for the
+    chain; its draws equal, bit for bit, those of a kernel per sweep."""
+    lay = make_layout("ecca", (3, 3), (1, 1, 1), ("poisson", "poisson"))
+    rng = make_rng(15, 30)
+    obs = dense_observations(lay, 0.4 * rng.standard_normal((12, 6)),
+                             seed=130)
+    obs = obs.with_mask(rng.random(obs.x.shape) < 0.7)
+    spec = PriorSpec(beta=0.2, a_hyper=ConjugateHyper(0.5, 1.0))
+    opts = GibeccaOptions(n_samples=5, burn_in=5, seed=3)
+    chain = run_gibecca(obs, lay, spec, opts)
+
+    per_call = mh_accept_elements
+
+    def per_sweep(obs, theta_old, theta_star, spec, rng, *, kernel=None):
+        return per_call(obs, theta_old, theta_star, spec, rng)
+
+    monkeypatch.setattr(gibecca, "mh_accept_elements", per_sweep)
+    ref = run_gibecca(obs, lay, spec, opts)
+    assert len(chain.thetas) == len(ref.thetas) == 5
+    for got, want in zip(chain.thetas, ref.thetas):
+        assert np.array_equal(got, want)
+    assert np.array_equal(chain.loglik, ref.loglik)
 
 
 # --------------------------------------------------------------- full runs

@@ -1,5 +1,7 @@
 """MAP fitting, fold-in prediction, and cross-validated hyperparameters."""
 
+import gc
+
 import numpy as np
 import pytest
 from scipy import special
@@ -8,6 +10,7 @@ from expfamproj import (ConfigError, ConjugateHyper, FactorState, LayoutError,
                         MapOptions, ObservationSet, PriorSpec, assemble_theta,
                         cv_select_hyperparams, fit_map, log_likelihood_theta,
                         make_layout, predict_target)
+from expfamproj import map_infer
 from expfamproj.map_infer import (_fold_masks, init_state, moment_matched_row,
                                   posterior_logp_and_grad)
 
@@ -89,6 +92,55 @@ def test_fit_trace_non_increasing_and_restarts_recorded():
     assert len(fit.restart_objectives) == 3
     assert fit.objective == pytest.approx(min(fit.restart_objectives),
                                           rel=1e-12)
+
+
+def test_fit_with_one_prepared_kernel_matches_rebuilt_kernels(monkeypatch):
+    """A fit that builds its kernel once per restart follows the same
+    iterates, bit for bit, as one whose kernel is rebuilt on every
+    evaluation."""
+    lay = make_layout("epls", (3, 4), (1, 1), ("poisson", "bernoulli"),
+                      use_mean_row=True)
+    rng = make_rng(11, 9)
+    obs = dense_observations(lay, 0.5 * rng.standard_normal((10, 7)),
+                             seed=119)
+    obs = obs.with_mask(rng.random(obs.x.shape) < 0.8)
+    spec = PriorSpec(beta=0.1, a_hyper=(ConjugateHyper(0.5, 1.0),
+                                        ConjugateHyper(0.2, 1.5)))
+    opts = MapOptions(restarts=2, seed=4, max_iter=80)
+    prepared = fit_map(obs, lay, spec, opts)
+
+    unprepared = posterior_logp_and_grad
+
+    def rebuilt(state, obs, layout, spec, want_grad=True, *, kernel=None):
+        return unprepared(state, obs, layout, spec, want_grad)
+
+    monkeypatch.setattr(map_infer, "posterior_logp_and_grad", rebuilt)
+    ref = fit_map(obs, lay, spec, opts)
+    assert prepared.trace == ref.trace
+    assert prepared.restart_objectives == ref.restart_objectives
+    assert (prepared.status, prepared.n_iter) == (ref.status, ref.n_iter)
+    for got, want in ((prepared.state.u, ref.state.u),
+                      (prepared.state.v, ref.state.v),
+                      (prepared.state.mean_row, ref.state.mean_row)):
+        assert np.array_equal(got, want)
+
+
+def test_fit_leaves_no_reference_cycles():
+    """The objective and its gradient thunks form no reference cycle, so
+    each fit's kernel and data are freed when it returns, not at the next
+    cyclic garbage collection."""
+    lay = make_layout("epca", 4, 2, "poisson")
+    rng = make_rng(11, 10)
+    obs = dense_observations(lay, 0.4 * rng.standard_normal((12, 4)),
+                             seed=120)
+    spec = PriorSpec(beta=0.1, a_hyper=ConjugateHyper(0.5, 1.0))
+    gc.collect()
+    gc.disable()
+    try:
+        fit_map(obs, lay, spec, MapOptions(restarts=2, max_iter=30))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fit_map_is_deterministic():

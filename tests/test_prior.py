@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from expfamproj import (ConjugateHyper, FactorState, ObservationSet,
-                        PriorSpec, get_family, log_density, log_prior_unnorm,
-                        make_layout)
+                        PriorSpec, assemble_theta, get_family, log_density,
+                        log_prior_unnorm, make_layout)
 from expfamproj.prior import gaussian_block_terms
 
 from conftest import central_diff_grad, make_rng
@@ -214,6 +214,45 @@ def test_posterior_without_data_is_the_prior(beta):
     assert posterior[0] == prior[0] == log_prior_unnorm(state, spec, lay)
     for got, want in zip(posterior[1:], prior[1:]):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+@pytest.mark.parametrize("families, alpha", [
+    (("bernoulli", "poisson"), (1.0, 0.3)),
+    (("gaussian", "exponential"), (1.0, 2.5)),
+])
+def test_prepared_kernel_gives_the_same_density(families, alpha, beta):
+    """A kernel built once and reused scores value and gradients to the
+    last bit as a kernel built on every call, and is left unchanged."""
+    lay = make_layout("sepca", (3, 4), 2, families, alpha=alpha,
+                      use_mean_row=True)
+    rng = make_rng(9, 10)
+    # the mean row keeps the exponential view's Theta negative
+    mean = np.where(np.arange(lay.d_total) < 3, 0.1, -2.0)
+    states = [FactorState(0.3 * rng.standard_normal((5, lay.k_total)),
+                          0.3 * rng.standard_normal((lay.k_total,
+                                                     lay.d_total)), mean)
+              for _ in range(2)]
+    theta = assemble_theta(states[0], lay)
+    x = np.empty_like(theta)
+    for fam, cols in zip(lay.families, lay.cols_view):
+        x[:, cols] = fam.sample(theta[:, cols], rng)
+    obs = ObservationSet(x, rng.random(x.shape) < 0.6, lay.view_widths,
+                         lay.families)
+    spec = PriorSpec(beta=beta, a_hyper=(ConjugateHyper(0.5, 1.0),
+                                         ConjugateHyper(0.2, 1.5)),
+                     sigma_u=0.8, sigma_v=1.2)
+    kernel = spec.entry_terms(lay, obs)
+    for state in states:
+        for want_grad in (True, False):
+            plain = log_density(state, obs, lay, spec, want_grad)
+            prepared = log_density(state, obs, lay, spec, want_grad,
+                                   kernel=kernel)
+            assert np.isfinite(plain[0])
+            assert prepared[0] == plain[0]
+            for got, want in zip(prepared[1:], plain[1:]):
+                assert (got is None) == (want is None) == (not want_grad)
+                assert want is None or np.array_equal(got, want)
 
 
 # -------------------------------------------------------------------- spec
