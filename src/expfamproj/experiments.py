@@ -160,10 +160,8 @@ def _epls_replicate(args):
             opts = MapOptions(max_iter=cfg.max_iter, restarts=cfg.restarts,
                               seed=_seed_int(cfg.seed, 29, rep, 1, m))
             fit = fit_map(data.train, layout, spec, opts)
-            pred = predict_target(
-                test_feats, fit.state, layout, spec,
-                MapOptions(max_iter=cfg.max_iter,
-                           seed=_seed_int(cfg.seed, 29, rep, 2, m)))
+            pred = predict_target(test_feats, fit.state, layout, spec,
+                                  MapOptions(max_iter=cfg.max_iter))
             err = prediction_error(pred.means, truth,
                                    get_family("bernoulli"))
             rows.append(_row(name, rep, label, n_comp,

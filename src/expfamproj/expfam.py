@@ -7,8 +7,8 @@ Each family is the one-dimensional density
 where g is the log-cumulant (log-partition) function and h the log base
 measure.  Everything downstream works with theta directly, never with the
 mean parametrisation, so the only things a family has to provide are g,
-its derivative (the mean map), h, the domain of theta, the support of x,
-a sampler, and the conjugate-prior kernel
+its first two derivatives (the mean and the variance), h, the domain of
+theta, the support of x, a sampler, and the conjugate-prior kernel
 
     log k(theta; lam, nu) = lam * theta - nu * g(theta),
 
@@ -142,6 +142,10 @@ class Family:
     def _gprime(self, theta):
         raise NotImplementedError
 
+    def _gsecond(self, theta):
+        """g''(theta), the variance of x under theta."""
+        raise NotImplementedError
+
     def _h(self, x):
         raise NotImplementedError
 
@@ -174,6 +178,10 @@ class BernoulliLogit(Family):
 
     def _gprime(self, theta):
         return special.expit(theta)
+
+    def _gsecond(self, theta):
+        # sigma(theta) (1 - sigma(theta)), without cancellation in 1 - sigma
+        return special.expit(theta) * special.expit(-np.asarray(theta))
 
     def _h(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -218,6 +226,10 @@ class PoissonLog(Family):
         with np.errstate(over="ignore"):
             return np.exp(theta)
 
+    def _gsecond(self, theta):
+        with np.errstate(over="ignore"):
+            return np.exp(theta)
+
     def _h(self, x):
         return -special.gammaln(np.asarray(x, dtype=float) + 1.0)
 
@@ -252,6 +264,9 @@ class GaussianUnitVariance(Family):
     def _gprime(self, theta):
         return np.asarray(theta, dtype=float)
 
+    def _gsecond(self, theta):
+        return np.ones_like(np.asarray(theta, dtype=float))
+
     def _h(self, x):
         x = np.asarray(x, dtype=float)
         return -0.5 * x * x - 0.5 * LOG_2PI
@@ -285,6 +300,10 @@ class ExponentialRate(Family):
 
     def _gprime(self, theta):
         return -1.0 / np.asarray(theta, dtype=float)
+
+    def _gsecond(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        return 1.0 / (theta * theta)
 
     def _h(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))

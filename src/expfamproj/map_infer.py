@@ -22,7 +22,8 @@ import numpy as np
 
 from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
                     ObservationSet, assemble_theta, log_pdf_sum_at)
-from .optimize import minimize_cg
+from .optimize import (ARMIJO_C, ARMIJO_SHRINK, MAX_BACKTRACKS,
+                       minimize_cg)
 from .prior import PriorSpec, log_density
 
 
@@ -40,17 +41,17 @@ class FoldInError(RuntimeError):
 class FreeParams:
     """Bijection between a FactorState and a flat vector of free coordinates.
 
-    The fixed parts (masked V entries, and V / mean row entirely when
-    frozen) are taken from the template state given at construction.
+    The fixed parts (masked V entries, and all of V when fix_v) are taken
+    from the template state given at construction.
     """
 
     def __init__(self, layout: BlockLayout, template: FactorState,
-                 fix_v=False, fix_mean=False):
+                 fix_v=False):
         self.layout = layout
         self.template = template.copy()
         self.n_rows = template.u.shape[0]
         self.fix_v = bool(fix_v)
-        self.with_mean = bool(layout.use_mean_row and not fix_mean)
+        self.with_mean = bool(layout.use_mean_row)
         self.v_free_idx = np.flatnonzero(~layout.zero_mask.ravel())
         self.n_u = self.n_rows * layout.k_total
         self.n_v = 0 if self.fix_v else self.v_free_idx.size
@@ -255,11 +256,17 @@ def predict_target(obs_test: ObservationSet, state: FactorState,
                    opts: MapOptions = None) -> Prediction:
     """Predict view-1 mean parameters for rows with only view 2 observed.
 
-    Folds each test row in by a MAP fit of its full factor row u against
-    the row's observed view-2 entries and the Gaussian prior b(u), with V
-    (and the mean row) fixed at the training fit.  All rows are optimised
-    jointly; the objective is separable across them.  The conjugate term
-    a(.) is not applied at fold-in time.
+    Folds each test row in by the MAP estimate of its full factor row u
+    against the row's observed view-2 entries and the Gaussian prior b(u),
+    with V (and the mean row) fixed at the training fit.  The conjugate
+    term a(.) is not applied at fold-in time, so each row is a small
+    concave problem, a regularised GLM fit, solved exactly by damped
+    Newton from the prior mode u = 0 (see _fold_in).  No random numbers
+    are drawn; of opts only max_iter is read.
+
+    Raises FoldInError when Theta at u = 0 leaves a family's domain, when
+    a row's Hessian is singular (possible only at gamma = 0), or when rows
+    have not converged after opts.max_iter Newton iterations.
     """
     opts = opts or MapOptions()
     _check_obs_layout(obs_test, layout)
@@ -271,29 +278,111 @@ def predict_target(obs_test: ObservationSet, state: FactorState,
     mask2[:, cols2] = obs_test.observed[:, cols2]
     obs2 = obs_test.with_mask(mask2)
 
-    n_test, k = obs_test.n_rows, layout.k_total
-    rng = np.random.default_rng(np.random.SeedSequence([opts.seed, 17]))
-    u0 = opts.init_std * rng.standard_normal((n_test, k))
-    template = FactorState(u0, state.v, state.mean_row)
-    free = FreeParams(layout, template, fix_v=True, fix_mean=True)
     spec_fold = spec.replace(beta=0.0, gamma=spec.gamma)
-    fun = _objective(free.log_density(obs2, spec_fold))
-
-    grad_tol = opts.grad_tol
-    if grad_tol is None:
-        grad_tol = 1e-5 * math.sqrt(n_test * layout.d_total)
-    try:
-        res = minimize_cg(fun, free.pack(template), grad_tol, opts.max_iter)
-    except ValueError as exc:
-        raise FoldInError(f"fold-in started infeasible: {exc}") from exc
-    if not np.all(np.isfinite(res.x)):
-        raise FoldInError("fold-in produced non-finite factor rows")
-
-    fitted = free.unpack(res.x)
-    theta = assemble_theta(fitted, layout)
+    u = _fold_in(obs2, state, layout, spec_fold, opts.max_iter)
+    theta = assemble_theta(FactorState(u, state.v, state.mean_row), layout)
     cols1 = layout.cols_view[0]
     means = layout.families[0]._gprime(theta[:, cols1])
-    return Prediction(np.asarray(means, dtype=float), fitted.u)
+    return Prediction(np.asarray(means, dtype=float), u)
+
+
+# A row has converged once half its squared Newton decrement, the gain in
+# log density that a full Newton step predicts, is at most
+# NEWTON_DECREMENT_TOL nats.  Its line search can fail to resolve a gain
+# of up to UNRESOLVED_GAIN_TOL nats, because the summed entry terms carry
+# rounding errors of order eps * |x theta| (about 1e-12 per entry at
+# Poisson counts of 1e3); such a row has converged too.  A larger gain
+# that no step realises is a failure.
+NEWTON_DECREMENT_TOL = 1e-12
+UNRESOLVED_GAIN_TOL = 1e-6
+
+
+def _fold_in(obs, state, layout, spec, max_iter):
+    """The factor rows u that maximise, row by row,
+
+        f_n(u) = sum_d terms_nd(u V + mean) - gamma/2 sum_k u_k^2 / sigma_u_k
+
+    with V and the mean row fixed and the entry terms from spec's kernel
+    of obs, starting from u = 0.  Newton's step for row n solves
+
+        (V diag(c_n) V^T + gamma diag(1 / sigma_u)) step = grad f_n(u),
+
+    c_n the kernel's curvature, on the stack of every unconverged row at
+    once; each row then backtracks on its own (see _backtrack).
+    """
+    kernel = spec.entry_terms(layout, obs)
+    v, n = state.v, obs.n_rows
+    prec = spec.gamma / spec.sigmas(layout)[0]
+
+    def theta_of(u_rows):
+        return assemble_theta(FactorState(u_rows, v, state.mean_row), layout)
+
+    u = np.zeros((n, layout.k_total))
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = theta_of(u)
+        out = kernel.terms(theta, want_grad=True)
+        if out is None or not np.all(np.isfinite(out[0])):
+            raise FoldInError("fold-in started infeasible: Theta at u = 0 "
+                              "is outside the family domain")
+        f, dlogp = np.sum(out[0], axis=1), out[1]
+        active = np.arange(n)
+        for it in range(max_iter + 1):
+            grad = dlogp[active] @ v.T - prec * u[active]
+            curv = kernel.curvature(theta)[active]
+            hess = (v * curv[:, None, :]) @ v.T + np.diag(prec)
+            try:
+                step = np.linalg.solve(hess, grad[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                n_bad = int(np.sum(np.linalg.matrix_rank(hess) < len(prec)))
+                raise FoldInError(f"fold-in Hessian singular in {n_bad} of "
+                                  f"{n} rows") from exc
+            gain = 0.5 * np.sum(grad * step, axis=1)
+            going = ~(gain <= NEWTON_DECREMENT_TOL)
+            active, step, gain = active[going], step[going], gain[going]
+            if active.size and it < max_iter:
+                failed = _backtrack(kernel, theta_of, prec, u, theta, f,
+                                    active, step, gain)
+                if not np.all(gain[failed] <= UNRESOLVED_GAIN_TOL):
+                    raise FoldInError(
+                        f"fold-in line search failed in {failed.size} of "
+                        f"{n} rows")
+                active = np.delete(active, failed)
+                dlogp = kernel.terms(theta, want_grad=True)[1]
+            if not active.size:
+                return u
+    raise FoldInError(f"fold-in not converged in {active.size} of {n} rows "
+                      f"after {max_iter} Newton iterations")
+
+
+def _backtrack(kernel, theta_of, prec, u, theta, f, rows, step, gain):
+    """Armijo backtracking on values, row by row, along the Newton steps
+    of the given rows, whose slope is twice their gain.  Each row halves
+    only its own step.  A trial row outside the domain, or whose value
+    overflows, fails the test like one that gains too little; it is
+    scored at its current point so that the kernel sees only rows in the
+    domain.  Updates u, theta and f in place for the rows that accept a
+    step, and returns the positions (into rows) of those that did not.
+    """
+    t = np.ones(rows.size)
+    todo = np.arange(rows.size)
+    for _ in range(MAX_BACKTRACKS):
+        idx = rows[todo]
+        u_try = u[idx] + t[todo, None] * step[todo]
+        trial = theta.copy()
+        trial[idx] = theta_of(u_try)
+        ok = kernel.in_domain(trial[:, None, :])
+        trial[~ok] = theta[~ok]
+        f_try = (np.sum(kernel.terms(trial)[0][idx], axis=1)
+                 - 0.5 * np.sum(prec * u_try * u_try, axis=1))
+        f_try[~ok[idx]] = -np.inf
+        accept = f_try >= f[idx] + 2.0 * ARMIJO_C * t[todo] * gain[todo]
+        hit = idx[accept]
+        u[hit], theta[hit], f[hit] = u_try[accept], trial[hit], f_try[accept]
+        todo = todo[~accept]
+        if not todo.size:
+            break
+        t[todo] *= ARMIJO_SHRINK
+    return todo
 
 
 # ---------------------------------------------------------------------------

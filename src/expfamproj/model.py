@@ -275,8 +275,10 @@ class EntryTerms:
     Without data (x is None) only the kernel is scored, with beta = 0 only
     the likelihood, and with neither nothing (no domain check either).
     The column slices cols partition the columns of theta.  Views hold
-    slices of x and mask, not copies, and h(x) computed once, so one
-    kernel serves every evaluation on the same data.
+    slices of x and mask, not copies, and h(x) computed once (None where
+    it is zero throughout, as for Bernoulli and exponential data, so it is
+    neither stored nor added), so one kernel serves every evaluation on
+    the same data.
     """
 
     def __init__(self, families, cols, x=None, mask=None, weights=None,
@@ -284,7 +286,7 @@ class EntryTerms:
         self.beta = beta
         self.views = [
             (fam, c, None if x is None else x[:, c],
-             None if x is None else fam._h(x[:, c]),
+             None if x is None else _nonzero_or_none(fam._h(x[:, c])),
              None if x is None else mask[:, c],
              1.0 if weights is None else weights[i],
              hypers[i].lam if beta > 0 else 0.0,
@@ -318,7 +320,7 @@ class EntryTerms:
             g = fam._g(t)
             val = 0.0
             if x is not None:
-                val = np.where(m, x * t + h - g, 0.0) * w
+                val = np.where(m, _x_theta_plus_h(x, t, h) - g, 0.0) * w
             if self.beta > 0:
                 val = val + self.beta * (lam * t - nu * g)
             vals[..., cols] = val
@@ -331,6 +333,21 @@ class EntryTerms:
                     dval = dval + self.beta * (lam - nu * mu)
                 grad[..., cols] = dval
         return vals, grad
+
+    def curvature(self, theta):
+        """Minus the second derivative of the entry terms wrt theta,
+        shaped like theta: w * [observed] * g''(theta) + beta * nu *
+        g''(theta).  Every entry of theta must lie in the domain."""
+        out = self._alloc(theta)
+        for fam, cols, x, h, m, w, lam, nu in self.views:
+            g2 = fam._gsecond(theta[..., cols])
+            c = 0.0
+            if x is not None:
+                c = np.where(m, g2, 0.0) * w
+            if self.beta > 0:
+                c = c + self.beta * nu * g2
+            out[..., cols] = c
+        return out
 
     def value(self, theta):
         """Sum of the entry terms over the last two axes: a float for one
@@ -357,11 +374,23 @@ class EntryTerms:
             g_s, g_o = fam._g(s), fam._g(o)
             r = 0.0
             if x is not None:
-                r = np.where(m, (x * s + h - g_s) - (x * o + h - g_o), 0.0) * w
+                r = np.where(m, (_x_theta_plus_h(x, s, h) - g_s)
+                             - (_x_theta_plus_h(x, o, h) - g_o), 0.0) * w
             if self.beta > 0:
                 r = r + self.beta * (lam * (s - o) - nu * (g_s - g_o))
             out[:, cols] = np.where(dom, r, -np.inf)
         return out
+
+
+def _nonzero_or_none(h):
+    """h(x), or None when it has no nonzero entry: adding its zeros
+    changes no value, at most the sign of a zero result."""
+    return h if np.any(h) else None
+
+
+def _x_theta_plus_h(x, theta, h):
+    xt = x * theta
+    return xt if h is None else xt + h
 
 
 def log_likelihood_theta(obs: ObservationSet, theta: np.ndarray,

@@ -52,6 +52,25 @@ def test_exponential_mean_is_neg_reciprocal():
     assert EXPONENTIAL.mean_param(-4.0) == pytest.approx(0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize("name, thetas", [
+    ("bernoulli", (-30.0, -8.0, -1.0, 0.0, 0.5, 8.0)),
+    ("poisson", (-5.0, 0.0, 2.0, 7.5, 10.0)),
+    ("gaussian", (-3.0, 0.0, 4.0)),
+    ("exponential", (-20.0, -1.0, -0.1, -1e-2, -1e-3)),
+])
+def test_second_derivative_matches_difference_of_mean(name, thetas):
+    """g''(theta) against a central difference of g'(theta), pointwise
+    and on an array."""
+    fam = get_family(name)
+    thetas = np.array(thetas)
+    eps = 1e-6 * np.minimum(1.0, np.abs(thetas)) if name == "exponential" \
+        else 1e-6 * np.maximum(1.0, np.abs(thetas))
+    fd = (fam._gprime(thetas + eps) - fam._gprime(thetas - eps)) / (2 * eps)
+    assert np.allclose(fam._gsecond(thetas), fd, rtol=1e-6, atol=0.0)
+    for t, want in zip(thetas, fd):
+        assert fam._gsecond(t) == pytest.approx(want, rel=1e-6)
+
+
 # ---------------------------------------------------------------- densities
 
 def test_bernoulli_log_pdf_values():

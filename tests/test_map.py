@@ -8,11 +8,12 @@ from scipy import special
 
 from expfamproj import (ConfigError, ConjugateHyper, FactorState, LayoutError,
                         MapOptions, ObservationSet, PriorSpec, assemble_theta,
-                        cv_select_hyperparams, fit_map, log_likelihood_theta,
-                        make_layout, predict_target)
-from expfamproj import map_infer
-from expfamproj.map_infer import (_fold_masks, init_state, moment_matched_row,
-                                  posterior_logp_and_grad)
+                        cv_select_hyperparams, fit_map, generate_coupled,
+                        log_likelihood_theta, make_layout, predict_target)
+from expfamproj import map_infer, model
+from expfamproj.experiments import EplsVsSepcaConfig, _seed_int
+from expfamproj.map_infer import (FoldInError, _fold_masks, init_state,
+                                  moment_matched_row, posterior_logp_and_grad)
 
 from conftest import dense_observations, make_rng
 
@@ -268,6 +269,127 @@ def test_fold_in_matches_grid_oracle_logistic():
     u_star = grid[np.argmax(ll)]
     assert pred.u[0, 0] == pytest.approx(u_star, abs=1e-3)
     assert pred.means[0, 0] == pytest.approx(u_star * 0.8, abs=1e-3)
+
+
+def _fold_in_gradient(obs_test, pred, state, layout, spec):
+    """Gradient of the fold-in objective wrt each test row's u: view 2
+    only, beta = 0, V and the mean row fixed."""
+    mask2 = np.zeros_like(obs_test.observed)
+    cols2 = layout.cols_view[1]
+    mask2[:, cols2] = obs_test.observed[:, cols2]
+    folded = FactorState(pred.u, state.v, state.mean_row)
+    return posterior_logp_and_grad(
+        folded, obs_test.with_mask(mask2), layout,
+        spec.replace(beta=0.0, gamma=spec.gamma))[1]
+
+
+@pytest.fixture(scope="module")
+def sepca_weak_view_fold_in():
+    """The epls-vs-sepca recipe's data and sepca fit at alpha = 1e-3 (its
+    default shapes, replicate 0 of seed 0): a fold-in whose gradient at a
+    small random start is already of the order of an absolute stopping
+    tolerance 1e-5 sqrt(N D)."""
+    cfg = EplsVsSepcaConfig()
+    widths = (cfg.d_target, cfg.d_features)
+    gen = make_layout("epls", widths, (cfg.k_shared, cfg.k_specific),
+                      "bernoulli")
+    data = generate_coupled(gen, cfg.n_train, cfg.n_test,
+                            seed=_seed_int(cfg.seed, 29, 0),
+                            latent_scale=cfg.latent_scale,
+                            target_scale=cfg.target_scale)
+    feat_mask = np.ones(data.test.x.shape, dtype=bool)
+    feat_mask[:, :cfg.d_target] = False
+    test_feats = data.test.with_mask(feat_mask)
+    lay = make_layout("sepca", widths, 4, "bernoulli", alpha=(1.0, 1e-3))
+    spec = PriorSpec(beta=cfg.beta, a_hyper=ConjugateHyper(cfg.lam, cfg.nu),
+                     sigma_u=cfg.sigma_u, sigma_v=cfg.sigma_v)
+    fit = fit_map(data.train, lay, spec,
+                  MapOptions(max_iter=cfg.max_iter, seed=1))
+    return test_feats, fit.state, lay, spec
+
+
+def test_fold_in_does_not_depend_on_the_seed(sepca_weak_view_fold_in):
+    test_feats, state, lay, spec = sepca_weak_view_fold_in
+    p0 = predict_target(test_feats, state, lay, spec, MapOptions(seed=0))
+    p1 = predict_target(test_feats, state, lay, spec, MapOptions(seed=1))
+    assert np.array_equal(p0.means, p1.means)
+    assert np.array_equal(p0.u, p1.u)
+
+
+def test_fold_in_gradient_vanishes_in_every_row(sepca_weak_view_fold_in):
+    test_feats, state, lay, spec = sepca_weak_view_fold_in
+    pred = predict_target(test_feats, state, lay, spec)
+    grad = _fold_in_gradient(test_feats, pred, state, lay, spec)
+    assert grad.shape == (test_feats.n_rows, lay.k_total)
+    assert np.max(np.abs(grad)) <= 1e-5
+
+
+def test_fold_in_exponential_iterates_stay_in_domain(monkeypatch):
+    """An exponential view 2 whose negative mean row sits close to the
+    domain edge: every Theta at which the fold-in takes a gradient, and
+    the result, lie in the domain, and the predictions are finite."""
+    lay = make_layout("epls", (2, 6), (1, 2), ("gaussian", "exponential"),
+                      use_mean_row=True)
+    rng = make_rng(12, 9)
+    v = rng.standard_normal((lay.k_total, lay.d_total))
+    v[lay.zero_mask] = 0.0
+    mean_row = np.concatenate([np.zeros(2), np.full(6, -0.2)])
+    state = FactorState(np.zeros((3, lay.k_total)), v, mean_row)
+    x = np.zeros((40, lay.d_total))
+    x[:, 2:] = rng.exponential(rng.uniform(0.05, 20.0, (40, 1)), (40, 6))
+    obs = ObservationSet(x, np.ones_like(x, dtype=bool),
+                         lay.view_widths, lay.families)
+    spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.1, 1.0),
+                     sigma_u=4.0)
+    seen = []
+    terms = model.EntryTerms.terms
+
+    def spy(self, theta, want_grad=False):
+        if want_grad:
+            seen.append(np.all(theta[:, 2:] < 0.0))
+        return terms(self, theta, want_grad)
+
+    monkeypatch.setattr(model.EntryTerms, "terms", spy)
+    pred = predict_target(obs, state, lay, spec)
+    theta = assemble_theta(FactorState(pred.u, v, mean_row), lay)
+    assert seen and all(seen)
+    assert np.all(theta[:, 2:] < 0.0)
+    assert np.all(np.isfinite(pred.means))
+
+
+def test_fold_in_poisson_large_counts_are_finite():
+    lay = make_layout("epls", (2, 8), (1, 2), ("poisson", "poisson"),
+                      use_mean_row=True)
+    rng = make_rng(12, 10)
+    v = 0.5 * rng.standard_normal((lay.k_total, lay.d_total))
+    v[lay.zero_mask] = 0.0
+    state = FactorState(np.zeros((3, lay.k_total)), v,
+                        np.full(lay.d_total, 1.0))
+    x = np.zeros((200, lay.d_total))
+    x[:, 2:] = rng.integers(0, 1001, (200, 8))
+    x[0, 2:] = 1000.0
+    obs = ObservationSet(x, np.ones_like(x, dtype=bool),
+                         lay.view_widths, lay.families)
+    spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.5, 1.0))
+    pred = predict_target(obs, state, lay, spec)
+    assert np.all(np.isfinite(pred.u))
+    assert np.all(np.isfinite(pred.means)) and np.all(pred.means > 0.0)
+
+
+def test_fold_in_singular_hessian_raises_fold_in_error():
+    """At gamma = 0 a component that loads on no view-2 column leaves the
+    fold-in Hessian singular; the other component sees separable data.
+    The failure is a FoldInError, not numpy's LinAlgError."""
+    lay = make_layout("epls", (1, 3), (1, 1), ("bernoulli", "bernoulli"))
+    v = np.array([[1.5, 0.0, 0.0, 0.0],
+                  [0.0, 1.0, 2.0, 0.5]])
+    state = FactorState(np.zeros((2, 2)), v)
+    x = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    obs = ObservationSet(x, np.ones_like(x, dtype=bool),
+                         lay.view_widths, lay.families)
+    spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.1, 0.2), gamma=0.0)
+    with pytest.raises(FoldInError, match="singular in 2 of 2 rows"):
+        predict_target(obs, state, lay, spec)
 
 
 def test_fold_in_requires_two_views():

@@ -312,6 +312,40 @@ def test_entry_terms_log_ratio_and_domain(families):
         assert terms.value(star) == -np.inf
 
 
+@pytest.mark.parametrize("families", [("bernoulli", "poisson"),
+                                      ("gaussian", "exponential")])
+def test_entry_terms_skip_zero_base_measure_bit_for_bit(families):
+    """Bernoulli and exponential h(x) is zero throughout: the kernel keeps
+    no array for it, and its terms, derivatives and log ratios equal, bit
+    for bit, those of a kernel that stores the zeros and adds them."""
+    fams, cols, x, mask, theta = _entry_case(families, 4)
+    hypers = (ConjugateHyper(0.5, 1.0), ConjugateHyper(0.2, 1.5))
+    for beta in (0.0, 0.3):
+        terms = EntryTerms(fams, cols, x, mask, (1.0, 0.7), beta, hypers)
+        kept = EntryTerms(fams, cols, x, mask, (1.0, 0.7), beta, hypers)
+        kept.views = [(fam, c, xv, fam._h(xv), *rest)
+                      for fam, c, xv, _, *rest in kept.views]
+        assert [view[3] is None for view in terms.views] == [
+            fam.name in ("bernoulli", "exponential") for fam in fams]
+        star = theta + 0.1 * make_rng(4, 7).standard_normal(theta.shape)
+        star[:, 3:] = fams[1].to_domain(star[:, 3:])
+        for got, want in zip(terms.terms(theta, want_grad=True),
+                             kept.terms(theta, want_grad=True)):
+            assert got.tobytes() == want.tobytes()
+        assert (terms.log_ratio(theta, star).tobytes()
+                == kept.log_ratio(theta, star).tobytes())
+
+
+def test_entry_terms_curvature_matches_difference_of_derivative():
+    fams, cols, x, mask, theta = _entry_case(("bernoulli", "exponential"), 5)
+    hypers = (ConjugateHyper(0.5, 1.0), ConjugateHyper(0.2, 1.5))
+    terms = EntryTerms(fams, cols, x, mask, (1.0, 0.7), 0.3, hypers)
+    eps = 1e-6 * np.minimum(1.0, np.abs(theta))
+    fd = (terms.terms(theta - eps, want_grad=True)[1]
+          - terms.terms(theta + eps, want_grad=True)[1]) / (2 * eps)
+    assert np.allclose(terms.curvature(theta), fd, rtol=1e-6, atol=1e-9)
+
+
 def test_entry_terms_value_scores_each_slice_of_a_stack():
     """A stack (..., N, D) gives one sum per slice, equal to the value of
     that slice alone; only the slice with an out-of-domain entry is -inf,
