@@ -375,7 +375,9 @@ def _backtrack(kernel, theta_of, prec, u, theta, f, rows, step, gain):
         f_try = (np.sum(kernel.terms(trial)[0][idx], axis=1)
                  - 0.5 * np.sum(prec * u_try * u_try, axis=1))
         f_try[~ok[idx]] = -np.inf
-        accept = f_try >= f[idx] + 2.0 * ARMIJO_C * t[todo] * gain[todo]
+        # the gain itself is tested: added to f, a gain below f's rounding
+        # would vanish and a step that does not move would pass
+        accept = f_try - f[idx] >= 2.0 * ARMIJO_C * t[todo] * gain[todo]
         hit = idx[accept]
         u[hit], theta[hit], f[hit] = u_try[accept], trial[hit], f_try[accept]
         todo = todo[~accept]

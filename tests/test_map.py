@@ -357,10 +357,22 @@ def test_fold_in_exponential_iterates_stay_in_domain(monkeypatch):
     assert np.all(np.isfinite(pred.means))
 
 
-def test_fold_in_poisson_large_counts_are_finite():
+def test_fold_in_poisson_large_counts_are_finite(monkeypatch):
+    """Counts up to 1e3: the summed entry terms carry rounding errors of
+    about 1e-12, so some rows end with a Newton gain that no step can
+    resolve.  They count as converged, and every prediction is finite."""
+    unresolved = []
+    backtrack = map_infer._backtrack
+
+    def spy(*args):
+        failed = backtrack(*args)
+        unresolved.extend(args[-1][failed])
+        return failed
+
+    monkeypatch.setattr(map_infer, "_backtrack", spy)
     lay = make_layout("epls", (2, 8), (1, 2), ("poisson", "poisson"),
                       use_mean_row=True)
-    rng = make_rng(12, 10)
+    rng = make_rng(12, 11)
     v = 0.5 * rng.standard_normal((lay.k_total, lay.d_total))
     v[lay.zero_mask] = 0.0
     state = FactorState(np.zeros((3, lay.k_total)), v,
@@ -372,8 +384,27 @@ def test_fold_in_poisson_large_counts_are_finite():
                          lay.view_widths, lay.families)
     spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.5, 1.0))
     pred = predict_target(obs, state, lay, spec)
+    assert unresolved and max(unresolved) <= map_infer.UNRESOLVED_GAIN_TOL
     assert np.all(np.isfinite(pred.u))
     assert np.all(np.isfinite(pred.means)) and np.all(pred.means > 0.0)
+
+
+def test_fold_in_optimum_on_the_domain_edge_raises():
+    """The view-1 entries are not scored at fold-in, but their Theta must
+    stay in the domain.  Here view 2 pulls u to 3.75 while the exponential
+    target's Theta = u - 0.1 must stay negative: the supremum lies on the
+    domain edge, no step realises the predicted gain, and the fold-in
+    says so instead of returning a point at the edge."""
+    lay = make_layout("epls", (1, 3), (1, 0), ("exponential", "gaussian"),
+                      use_mean_row=True)
+    state = FactorState(np.zeros((1, 1)), np.ones((1, 4)),
+                        np.array([-0.1, 0.0, 0.0, 0.0]))
+    x = np.array([[0.0, 5.0, 5.0, 5.0]])
+    obs = ObservationSet(x, np.ones_like(x, dtype=bool),
+                         lay.view_widths, lay.families)
+    spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.1, 1.0))
+    with pytest.raises(FoldInError, match="line search failed in 1 of 1"):
+        predict_target(obs, state, lay, spec)
 
 
 def test_fold_in_singular_hessian_raises_fold_in_error():
