@@ -32,7 +32,7 @@ from scipy import linalg
 
 from .chains import Chain
 from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
-                    ObservationSet, log_likelihood_theta)
+                    ObservationSet, likelihood_terms, log_likelihood_theta)
 from .map_infer import _check_obs_layout, moment_matched_row
 from .prior import PriorSpec, factor_sums_of_squares
 
@@ -40,9 +40,13 @@ IG_SHAPE = 1.0   # inverse-gamma hyperprior on variances
 IG_SCALE = 1.0
 JITTER_REL = 1e-8
 
+# the LAPACK routines behind scipy's cho_solve and solve_triangular
+_POTRS = linalg.lapack.dpotrs
+_TRTRS = linalg.lapack.dtrtrs
+
 
 class StageError(ValueError):
-    """Gaussian stage received a non-finite Theta."""
+    """Gaussian stage received a non-finite Theta or could not solve."""
 
 
 class ProposalError(RuntimeError):
@@ -69,11 +73,61 @@ def _inv_gamma(rng, shape, scale):
     return scale / rng.gamma(shape)
 
 
+@dataclass(frozen=True)
+class StagePlan:
+    """Layout-derived indices the Gaussian stage reads on every sweep.
+
+    widths repeats the per-view residual across its columns.  Each entry
+    of views is (view index, its columns, its free V rows, the np.ix_
+    block of V they span).  free is ~zero_mask and n_free counts its
+    entries per V row.
+    """
+
+    widths: np.ndarray
+    views: tuple
+    free: np.ndarray
+    n_free: np.ndarray
+
+
+def stage_plan(layout: BlockLayout) -> StagePlan:
+    """The Gaussian stage's index plan for a layout; one serves a chain."""
+    k, d = layout.k_total, layout.d_total
+    blocks = []
+    for i in range(layout.n_views):
+        cols = layout.cols_view[i]
+        # free rows on view i: shared plus the view's own specific block
+        rows = np.r_[np.arange(layout.ranks[0]),
+                     np.arange(k)[layout.rows_view[i]]]
+        blocks.append((i, cols, rows, np.ix_(rows, np.arange(d)[cols])))
+    free = ~layout.zero_mask
+    return StagePlan(np.asarray(layout.view_widths[:layout.n_views]),
+                     tuple(blocks), free, free.sum(axis=1))
+
+
+def _cholesky(prec, block):
+    try:
+        return np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError as exc:
+        raise StageError(f"precision of {block} is not positive definite: "
+                         f"{exc}") from exc
+
+
+def _cho_solve(chol, b):
+    """P^{-1} b given the lower Cholesky factor of P."""
+    x, info = _POTRS(chol, b, lower=1)
+    if info:
+        raise StageError(f"potrs failed with info {info}")
+    return x
+
+
 def _sample_mvn_rows(mean, prec_chol, rng):
     """Rows ~ N(mean_row, P^{-1}) given the lower Cholesky factor of P."""
     z = rng.standard_normal(mean.shape)
-    return mean + linalg.solve_triangular(prec_chol, z.T, lower=True,
-                                          trans="T").T
+    # L^T x = z^T; the transpose of the C-ordered L is upper and F-ordered
+    x, info = _TRTRS(prec_chol.T, z.T, lower=0, trans=0)
+    if info:
+        raise StageError(f"trtrs failed with info {info}")
+    return mean + x.T
 
 
 def build_sigma(stage: GaussianStageState, layout: BlockLayout):
@@ -127,67 +181,67 @@ def init_gaussian_stage(layout: BlockLayout, spec: PriorSpec, n_rows,
 
 def gibbs_gaussian_stage(theta: np.ndarray, layout: BlockLayout,
                          stage: GaussianStageState, rng: np.random.Generator,
-                         sample_v=True, infer_variances=True
-                         ) -> GaussianStageState:
+                         sample_v=True, infer_variances=True, *,
+                         plan: StagePlan = None) -> GaussianStageState:
     """One conjugate Gibbs sweep of the Gaussian factor model on Theta.
 
     Update order is fixed: U rows first (conditioned on the incoming V and
     variances), then free V rows per view, then component variances and
     per-view residuals.  Masked V entries are never touched.  Returns a
-    new state; the input is not modified.
+    new state; the input is not modified.  plan, when given, is
+    stage_plan(layout) built once for a whole chain.  Raises StageError
+    on a non-finite Theta, a precision that is not positive definite, a
+    failed solve or non-finite new factors.
     """
     if not np.all(np.isfinite(theta)):
         raise StageError("theta contains non-finite entries")
     n, d = theta.shape
     k = layout.k_total
-    if theta.shape[1] != layout.d_total or stage.u.shape != (n, k):
+    if d != layout.d_total or stage.u.shape != (n, k):
         raise StageError(f"theta shape {theta.shape} does not match the "
                          f"stage ({stage.u.shape[0]} x {layout.d_total})")
+    if plan is None:
+        plan = stage_plan(layout)
 
     v = stage.v.copy()
     var_u = stage.var_u.copy()
     var_v = stage.var_v.copy()
     resid = stage.resid.copy()
-    r_col = np.repeat(resid, layout.view_widths[:layout.n_views])
+    r_col = np.repeat(resid, plan.widths)
 
     # U | theta, V: shared precision across rows
     a = v / r_col                                   # K x D, V R^{-1}
     prec = a @ v.T + np.diag(1.0 / var_u)
-    chol = np.linalg.cholesky(prec)
-    mean = linalg.cho_solve((chol, True), a @ theta.T).T
+    chol = _cholesky(prec, "U")
+    mean = _cho_solve(chol, a @ theta.T).T
     u = _sample_mvn_rows(mean, chol, rng)
 
     # free V rows per view | theta, U
     if sample_v:
-        for i in range(layout.n_views):
-            cols = layout.cols_view[i]
-            # free rows on view i: shared plus the view's own specific block
-            rows = np.r_[np.arange(layout.ranks[0]),
-                         np.arange(k)[layout.rows_view[i]]]
+        for i, cols, rows, block in plan.views:
             a_blk = u[:, rows]
             prec_v = a_blk.T @ a_blk / resid[i] + np.diag(1.0 / var_v[rows])
-            chol_v = np.linalg.cholesky(prec_v)
-            mean_v = linalg.cho_solve((chol_v, True),
-                                      a_blk.T @ theta[:, cols] / resid[i])
-            v[np.ix_(rows, np.arange(d)[cols])] = \
-                _sample_mvn_rows(mean_v.T, chol_v, rng).T
+            chol_v = _cholesky(prec_v, f"V of view {i + 1}")
+            mean_v = _cho_solve(chol_v, a_blk.T @ theta[:, cols] / resid[i])
+            v[block] = _sample_mvn_rows(mean_v.T, chol_v, rng).T
 
     if infer_variances:
-        ssq_u, ssq_v, n_free = factor_sums_of_squares(u, v, layout.zero_mask)
+        ssq_u, ssq_v = factor_sums_of_squares(u, v, plan.free)
         for j in np.flatnonzero(np.isfinite(var_u)):
             var_u[j] = _inv_gamma(rng, IG_SHAPE + 0.5 * n,
                                   IG_SCALE + 0.5 * ssq_u[j])
         if sample_v:
             for j in np.flatnonzero(np.isfinite(var_v)):
-                var_v[j] = _inv_gamma(rng, IG_SHAPE + 0.5 * n_free[j],
+                var_v[j] = _inv_gamma(rng, IG_SHAPE + 0.5 * plan.n_free[j],
                                       IG_SCALE + 0.5 * ssq_v[j])
         fit = u @ v
-        for i in range(layout.n_views):
-            cols = layout.cols_view[i]
+        for i, cols, *_ in plan.views:
             err = theta[:, cols] - fit[:, cols]
             resid[i] = _inv_gamma(rng, IG_SHAPE + 0.5 * err.size,
                                   IG_SCALE + 0.5 * float(np.sum(err * err)))
 
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise StageError("the stage drew non-finite factors")
     return GaussianStageState(u, v, var_u, var_v, resid)
 
 
@@ -272,6 +326,8 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
     stage = init_gaussian_stage(layout, spec, obs.n_rows, rng,
                                 opts.resid_init, opts.fix_v)
     kernel = spec.entry_terms(None, obs)
+    lik_kernel = likelihood_terms(obs, layout)
+    plan = stage_plan(layout)
 
     n_total = opts.burn_in + opts.n_samples * opts.thin
     states, thetas, wall, loglik = [], [], [], []
@@ -284,7 +340,8 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
     for sweep in range(n_total):
         stage = gibbs_gaussian_stage(theta, layout, stage, rng,
                                      sample_v=opts.fix_v is None,
-                                     infer_variances=opts.infer_hypers)
+                                     infer_variances=opts.infer_hypers,
+                                     plan=plan)
         theta_star = propose_theta_rows(stage, layout, rng)
         theta, accepted = mh_accept_elements(obs, theta, theta_star, spec,
                                              rng, kernel=kernel)
@@ -298,7 +355,8 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
             t = max(t, prev_t + 1e-9)
             prev_t = t
             wall.append(t)
-            loglik.append(log_likelihood_theta(obs, theta, layout))
+            loglik.append(log_likelihood_theta(obs, theta, layout,
+                                               kernel=lik_kernel))
             var_u_trace.append(stage.var_u.tolist())
             var_v_trace.append(stage.var_v.tolist())
             resid_trace.append(stage.resid.tolist())

@@ -393,18 +393,26 @@ def _x_theta_plus_h(x, theta, h):
     return xt if h is None else xt + h
 
 
+def likelihood_terms(obs: ObservationSet, layout: BlockLayout) -> EntryTerms:
+    """The masked, alpha-weighted log-likelihood of obs entry by entry."""
+    return EntryTerms(layout.families, layout.cols_view, obs.x, obs.observed,
+                      layout.alpha)
+
+
 def log_likelihood_theta(obs: ObservationSet, theta: np.ndarray,
-                         layout: BlockLayout) -> float:
+                         layout: BlockLayout, *, kernel=None) -> float:
     """Masked, alpha-weighted log-likelihood at a given Theta matrix.
 
     The per-view alpha weights multiply whole columns of the elementwise
     log-pdf matrix and the result is reduced by a single sum over the
     full matrix, so that weighting with alpha = (1, 1) is bit-identical
     to the unweighted single-view computation.  Raises DomainError when
-    Theta leaves a family's domain.
+    Theta leaves a family's domain.  kernel, when given, is
+    likelihood_terms(obs, layout) built once for many Theta matrices.
     """
-    out = EntryTerms(layout.families, layout.cols_view, obs.x, obs.observed,
-                     layout.alpha).terms(theta)
+    if kernel is None:
+        kernel = likelihood_terms(obs, layout)
+    out = kernel.terms(theta)
     if out is None:
         raise DomainError("natural parameter outside the family domain")
     return float(np.sum(out[0]))

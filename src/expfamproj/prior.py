@@ -101,20 +101,19 @@ class PriorSpec:
                           [self.hyper_for_view(i) for i in idx])
 
 
-def factor_sums_of_squares(u, v, zero_mask):
+def factor_sums_of_squares(u, v, free):
     """Per-component sums of squares of U's columns and of V's free
-    (unmasked) row entries, with the number of free entries per V row."""
-    free = ~zero_mask
+    row entries (free is True where V is not pinned to zero)."""
     return (np.sum(u * u, axis=0),
-            np.sum(np.where(free, v, 0.0) ** 2, axis=1), free.sum(axis=1))
+            np.sum(np.where(free, v, 0.0) ** 2, axis=1))
 
 
 def gaussian_block_terms(state: FactorState, spec: PriorSpec,
                          layout: BlockLayout):
     """(log b(U), log c(V)) with full normalising constants."""
-    u_ssq, v_ssq, n_free = factor_sums_of_squares(state.u, state.v,
-                                                  layout.zero_mask)
-    n_terms = (np.full(layout.k_total, state.u.shape[0]), n_free)
+    free = ~layout.zero_mask
+    u_ssq, v_ssq = factor_sums_of_squares(state.u, state.v, free)
+    n_terms = (np.full(layout.k_total, state.u.shape[0]), free.sum(axis=1))
     # per block, sum over components of  -n/2 log(2 pi s) - ssq / (2 s)
     return tuple(float(np.sum(-0.5 * n * (LOG_2PI + np.log(s))
                               - 0.5 * ssq / s))

@@ -96,3 +96,26 @@ def test_traced_fit_counts_value_and_gradient_calls():
     assert count[f"{post}.value_calls"] == evals
     assert count[f"{post}.grad_calls"] == (
         count["optimize.minimize_cg.iterations"] + 1)
+
+
+def test_traced_gibecca_counts_sweeps_and_stored_samples():
+    """Under the tracer a chain shows one Gaussian stage and one Theta
+    refresh per sweep, every entry scored on each refresh, and one
+    likelihood evaluation per stored sample."""
+    pkg = importlib.import_module(tracer.PACKAGE)
+    lay = pkg.make_layout("ecca", (3, 2), (1, 1, 1), ("poisson", "bernoulli"))
+    rng = np.random.default_rng(6)
+    x = np.c_[rng.poisson(1.0, (8, 3)), rng.integers(0, 2, (8, 2))]
+    obs = pkg.ObservationSet(x.astype(float), np.ones(x.shape, dtype=bool),
+                             lay.view_widths, lay.families)
+    spec = pkg.PriorSpec(beta=0.1, a_hyper=pkg.ConjugateHyper(0.5, 1.0))
+    opts = pkg.GibeccaOptions(n_samples=4, burn_in=3, thin=2, seed=1)
+    with tracer.Tracer().installed() as tr:
+        pkg.gibecca.run_gibecca(obs, lay, spec, opts)
+    sweeps = opts.burn_in + opts.n_samples * opts.thin
+    m = tracer.layer_metrics(tr)
+    assert m["gibecca.gibbs_gaussian_stage.calls"] == sweeps
+    assert m["gibecca.mh_accept_elements.calls"] == sweeps
+    assert m["gibecca.mh_accept_elements.entries"] == sweeps * x.size
+    calls = tracer.span_table(tr)["model.log_likelihood_theta"][0]
+    assert calls == opts.n_samples

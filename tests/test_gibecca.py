@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import linalg, special
 
 from expfamproj import gibecca
 from expfamproj import (ConfigError, ConjugateHyper, GibeccaOptions,
@@ -162,6 +162,158 @@ def test_gibbs_stage_rejects_bad_theta():
         gibbs_gaussian_stage(np.full((3, 2), np.nan), lay, stage, rng)
     with pytest.raises(StageError):
         gibbs_gaussian_stage(np.zeros((4, 2)), lay, stage, rng)
+
+
+def test_gibbs_stage_rejects_non_finite_factors():
+    """A NaN in a pinned V (GibeccaOptions.fix_v) reaches no LAPACK check
+    that fails, so the stage's own check on the new factors raises."""
+    lay = make_layout("ecca", (2, 3), (1, 1, 1), ("gaussian", "gaussian"))
+    spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.0, 1.0))
+    rng = make_rng(15, 31)
+    v = rng.standard_normal((lay.k_total, lay.d_total))
+    v[lay.zero_mask] = 0.0
+    v[0, 1] = np.nan
+    stage = init_gaussian_stage(lay, spec, 4, rng, fix_v=v)
+    for sample_v in (True, False):
+        with pytest.raises(StageError):
+            gibbs_gaussian_stage(rng.standard_normal((4, 5)), lay, stage, rng,
+                                 sample_v=sample_v)
+    obs = dense_observations(lay, rng.standard_normal((4, 5)), seed=131)
+    with pytest.raises(StageError):
+        run_gibecca(obs, lay, spec, GibeccaOptions(n_samples=2, burn_in=1,
+                                                   fix_v=v))
+
+
+# The Gaussian stage as it was written with scipy's checked wrappers; the
+# stage must reproduce it bit for bit and leave the generator in the same
+# state.
+
+def _reference_mvn_rows(mean, prec_chol, rng):
+    z = rng.standard_normal(mean.shape)
+    return mean + linalg.solve_triangular(prec_chol, z.T, lower=True,
+                                          trans="T").T
+
+
+def _reference_stage(theta, layout, stage, rng, sample_v=True,
+                     infer_variances=True):
+    def inv_gamma(shape, scale):
+        return scale / rng.gamma(shape)
+
+    n, d = theta.shape
+    k = layout.k_total
+    v = stage.v.copy()
+    var_u = stage.var_u.copy()
+    var_v = stage.var_v.copy()
+    resid = stage.resid.copy()
+    r_col = np.repeat(resid, layout.view_widths[:layout.n_views])
+
+    a = v / r_col
+    prec = a @ v.T + np.diag(1.0 / var_u)
+    chol = np.linalg.cholesky(prec)
+    mean = linalg.cho_solve((chol, True), a @ theta.T).T
+    u = _reference_mvn_rows(mean, chol, rng)
+
+    if sample_v:
+        for i in range(layout.n_views):
+            cols = layout.cols_view[i]
+            rows = np.r_[np.arange(layout.ranks[0]),
+                         np.arange(k)[layout.rows_view[i]]]
+            a_blk = u[:, rows]
+            prec_v = a_blk.T @ a_blk / resid[i] + np.diag(1.0 / var_v[rows])
+            chol_v = np.linalg.cholesky(prec_v)
+            mean_v = linalg.cho_solve((chol_v, True),
+                                      a_blk.T @ theta[:, cols] / resid[i])
+            v[np.ix_(rows, np.arange(d)[cols])] = \
+                _reference_mvn_rows(mean_v.T, chol_v, rng).T
+
+    if infer_variances:
+        free = ~layout.zero_mask
+        ssq_u = np.sum(u * u, axis=0)
+        ssq_v = np.sum(np.where(free, v, 0.0) ** 2, axis=1)
+        n_free = free.sum(axis=1)
+        for j in np.flatnonzero(np.isfinite(var_u)):
+            var_u[j] = inv_gamma(1.0 + 0.5 * n, 1.0 + 0.5 * ssq_u[j])
+        if sample_v:
+            for j in np.flatnonzero(np.isfinite(var_v)):
+                var_v[j] = inv_gamma(1.0 + 0.5 * n_free[j],
+                                     1.0 + 0.5 * ssq_v[j])
+        fit = u @ v
+        for i in range(layout.n_views):
+            cols = layout.cols_view[i]
+            err = theta[:, cols] - fit[:, cols]
+            resid[i] = inv_gamma(1.0 + 0.5 * err.size,
+                                 1.0 + 0.5 * float(np.sum(err * err)))
+
+    return gibecca.GaussianStageState(u, v, var_u, var_v, resid)
+
+
+STAGE_LAYOUTS = {
+    "epca": ("epca", 5, 3, "gaussian"),
+    "epls": ("epls", (3, 4), (2, 2), ("gaussian", "gaussian")),
+    "ecca": ("ecca", (3, 4), (2, 1, 2), ("gaussian", "gaussian")),
+    # view 1's free V rows form a 1 x 1 block
+    "ecca-1x1": ("ecca", (2, 3), (1, 0, 1), ("gaussian", "gaussian")),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.0])
+@pytest.mark.parametrize("infer_variances", [True, False])
+@pytest.mark.parametrize("sample_v", [True, False])
+@pytest.mark.parametrize("kind", sorted(STAGE_LAYOUTS))
+def test_gibbs_stage_matches_reference_bit_for_bit(kind, sample_v,
+                                                   infer_variances, gamma):
+    lay = make_layout(*STAGE_LAYOUTS[kind])
+    spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.0, 1.0),
+                     sigma_u=0.7, sigma_v=1.3, gamma=gamma)
+    seed = make_rng(15, 32).integers(2**32)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    theta = 0.8 * rng.standard_normal((7, lay.d_total))
+    ref_rng.standard_normal((7, lay.d_total))
+    pin = None
+    if not sample_v:
+        pin = rng.standard_normal((lay.k_total, lay.d_total))
+        pin[lay.zero_mask] = 0.0
+        ref_rng.standard_normal((lay.k_total, lay.d_total))
+    stage = init_gaussian_stage(lay, spec, 7, rng, fix_v=pin)
+    ref = init_gaussian_stage(lay, spec, 7, ref_rng, fix_v=pin)
+    plan = gibecca.stage_plan(lay)
+    for sweep in range(6):
+        # the chain's shared plan and the per-call one alike
+        stage = gibbs_gaussian_stage(theta, lay, stage, rng, sample_v,
+                                     infer_variances,
+                                     plan=plan if sweep % 2 else None)
+        ref = _reference_stage(theta, lay, ref, ref_rng, sample_v,
+                               infer_variances)
+        for name in ("u", "v", "var_u", "var_v", "resid"):
+            got, want = getattr(stage, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.all(np.isinf(stage.var_u)) == (gamma == 0.0)
+
+
+def test_chain_matches_reference_stage(monkeypatch):
+    lay = make_layout("ecca", (3, 3), (1, 1, 1), ("poisson", "bernoulli"))
+    rng = make_rng(15, 33)
+    obs = dense_observations(lay, 0.4 * rng.standard_normal((10, 6)),
+                             seed=133)
+    obs = obs.with_mask(rng.random(obs.x.shape) < 0.8)
+    spec = PriorSpec(beta=0.2, a_hyper=ConjugateHyper(0.5, 1.0))
+    opts = GibeccaOptions(n_samples=6, burn_in=4, seed=4)
+    chain = run_gibecca(obs, lay, spec, opts)
+
+    def reference(theta, layout, stage, rng, sample_v=True,
+                  infer_variances=True, *, plan=None):
+        return _reference_stage(theta, layout, stage, rng, sample_v,
+                                infer_variances)
+
+    monkeypatch.setattr(gibecca, "gibbs_gaussian_stage", reference)
+    ref = run_gibecca(obs, lay, spec, opts)
+    assert len(chain.thetas) == len(ref.thetas) == 6
+    for got, want in zip(chain.thetas, ref.thetas):
+        assert got.tobytes() == want.tobytes()
+    assert chain.loglik.tobytes() == ref.loglik.tobytes()
+    assert chain.stats == ref.stats
 
 
 # ------------------------------------------------------------ MH elements

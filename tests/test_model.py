@@ -11,7 +11,7 @@ from expfamproj import (ConfigError, ConjugateHyper, FactorState,
                         assemble_theta, get_family,
                         load_observations, log_likelihood,
                         log_likelihood_theta, make_layout)
-from expfamproj.model import EntryTerms, log_pdf_sum_at
+from expfamproj.model import EntryTerms, likelihood_terms, log_pdf_sum_at
 
 from conftest import dense_observations, make_rng
 
@@ -201,6 +201,23 @@ def test_alpha_weights_view_two():
     part = log_likelihood_theta(obs1, theta[:, :2], lay1) \
         + 1e-3 * log_likelihood_theta(obs2, theta[:, 2:], lay2)
     assert total == pytest.approx(part, rel=1e-12)
+
+
+def test_log_likelihood_theta_kernel_matches_a_fresh_one():
+    """One likelihood kernel reused across Theta matrices scores each
+    exactly as log_likelihood_theta does when it builds its own."""
+    lay = make_layout("sepca", (2, 3), 1, ("poisson", "poisson"),
+                      alpha=0.3)
+    rng = make_rng(8, 9)
+    obs = dense_observations(lay, 0.5 * rng.standard_normal((6, 5)),
+                             seed=89)
+    obs = obs.with_mask(rng.random(obs.x.shape) < 0.7)
+    kernel = likelihood_terms(obs, lay)
+    for _ in range(4):
+        theta = 0.5 * rng.standard_normal((6, 5))
+        got = log_likelihood_theta(obs, theta, lay, kernel=kernel)
+        want = log_likelihood_theta(obs, theta, lay)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_log_likelihood_state_matches_theta_path():
