@@ -11,9 +11,8 @@ from .evaluation import (CoupledData, MaskError, StatError, generate_coupled,
 from .expfam import (BERNOULLI, EXPONENTIAL, FAMILIES, GAUSSIAN_UNIT,
                      POISSON, ConjugateHyper, DomainError, SupportError,
                      get_family)
-from .gibecca import (GibeccaOptions, ProposalError, StageError,
-                      gibbs_gaussian_stage, mh_accept_elements,
-                      propose_theta_rows, run_gibecca)
+from .gibecca import (GibeccaOptions, StageError, gibbs_gaussian_stage,
+                      mh_accept_elements, propose_theta_rows, run_gibecca)
 from .hmc_infer import (ChainError, ExchangeOptions, HmcOptions,
                         exchange_update_hyper, hmc_step, run_hmc_chain,
                         sample_prior_approx)
@@ -31,7 +30,7 @@ __all__ = [
     "ExchangeOptions", "FAMILIES", "FactorState", "FitError", "FoldInError",
     "GAUSSIAN_UNIT", "GibeccaOptions", "HmcOptions",
     "LayoutError", "MapFit", "MapOptions", "MaskError", "ObservationSet",
-    "POISSON", "PriorSpec", "ProposalError", "ShapeError", "StageError",
+    "POISSON", "PriorSpec", "ShapeError", "StageError",
     "StatError", "SupportError", "assemble_theta", "cv_select_hyperparams",
     "exchange_update_hyper", "fit_map", "generate_coupled", "get_family",
     "gibbs_gaussian_stage", "heldout_loglik", "hmc_step", "knn_latent_error",

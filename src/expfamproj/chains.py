@@ -10,13 +10,14 @@ reruns with the same seed can be compared byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expfam import ConjugateHyper
-from .model import BlockLayout, FactorState
+from .model import BlockLayout, FactorState, assemble_theta
 from .prior import PriorSpec
 
 FORMAT_VERSION = 1
@@ -55,7 +56,6 @@ class Chain:
         """
         if self.thetas is not None:
             return [np.asarray(t) for t in self.thetas]
-        from .model import assemble_theta
         return [assemble_theta(s, layout) for s in self.states]
 
 
@@ -83,46 +83,65 @@ def shared_latent_mean(chain: Chain, layout: BlockLayout) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # persistence
 
-def _tobytes(arr):
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _fields(man):
+    """(name, shape) of each array of one .bin file, in file order, as
+    described by its manifest."""
+    n, k, d = man["n_rows"], man["k_total"], man["d_total"]
+    fields = [("u", (n, k)), ("v", (k, d))]
+    if man["has_mean"]:
+        fields.append(("mean_row", (d,)))
+    if man.get("has_theta"):
+        fields.append(("theta", (n, d)))
+    if man.get("has_hyper"):
+        r = man["n_views"]
+        fields += [("sigma_u", (k,)), ("sigma_v", (k,)), ("lam", (r,)),
+                   ("nu", (r,))]
+    return fields
 
 
-def _sample_blob(state: FactorState, hyper: PriorSpec, theta,
-                 layout: BlockLayout):
-    parts = [state.u, state.v]
-    if state.mean_row is not None:
-        parts.append(state.mean_row)
-    if theta is not None:
-        parts.append(theta)
-    if hyper is not None:
-        su, sv = hyper.sigmas(layout)
-        lam = [hyper.hyper_for_view(i).lam for i in range(layout.n_views)]
-        nu = [hyper.hyper_for_view(i).nu for i in range(layout.n_views)]
-        parts.append(np.concatenate([su, sv, lam, nu]))
-    return b"".join(_tobytes(p) for p in parts)
+def _read_manifest(path) -> dict:
+    with open(path) as fh:
+        man = json.load(fh)
+    if man.get("format") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format {man.get('format')!r}")
+    return man
+
+
+def _write_fields(path, fields, values):
+    with open(path, "wb") as fh:
+        fh.write(b"".join(
+            np.ascontiguousarray(values[name], dtype="<f8").reshape(shape)
+            .tobytes() for name, shape in fields))
+
+
+def _read_fields(path, fields) -> dict:
+    """name -> array; raises ValueError naming the file when its length
+    does not match the fields."""
+    flat = np.fromfile(path, dtype="<f8")
+    sizes = [math.prod(shape) for _, shape in fields]
+    if flat.size != sum(sizes):
+        raise ValueError(f"{path}: holds {flat.size} float64 values, "
+                         f"its manifest describes {sum(sizes)}")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return {name: part.reshape(shape)
+            for (name, shape), part in zip(fields, parts)}
 
 
 def save_chain(chain: Chain, dirpath, layout: BlockLayout):
     """Write one .bin per sample plus manifest.json into dirpath."""
     chain.validate()
     os.makedirs(dirpath, exist_ok=True)
-    has_mean = chain.n_samples > 0 and chain.states[0].mean_row is not None
     has_hyper = chain.hypers is not None
     has_theta = chain.thetas is not None
-    n_rows = chain.states[0].u.shape[0] if chain.n_samples else 0
-    for i, state in enumerate(chain.states):
-        hyper = chain.hypers[i] if has_hyper else None
-        theta = chain.thetas[i] if has_theta else None
-        with open(os.path.join(dirpath, f"sample_{i:06d}.bin"), "wb") as fh:
-            fh.write(_sample_blob(state, hyper, theta, layout))
+    first = chain.states[0] if chain.n_samples else None
     manifest = {
         "format": FORMAT_VERSION,
         "n_samples": chain.n_samples,
-        "n_rows": int(n_rows),
+        "n_rows": int(first.u.shape[0]) if first is not None else 0,
         "k_total": int(layout.k_total),
         "d_total": int(layout.d_total),
         "n_views": layout.n_views,
-        "has_mean": has_mean,
+        "has_mean": first is not None and first.mean_row is not None,
         "has_hyper": has_hyper,
         "has_theta": has_theta,
         "beta": None if not has_hyper else chain.hypers[0].beta,
@@ -132,45 +151,42 @@ def save_chain(chain: Chain, dirpath, layout: BlockLayout):
         "stats": chain.stats,
         "meta": chain.meta,
     }
+    fields = _fields(manifest)
+    for i, state in enumerate(chain.states):
+        values = {"u": state.u, "v": state.v, "mean_row": state.mean_row}
+        if has_theta:
+            values["theta"] = chain.thetas[i]
+        if has_hyper:
+            hyper = chain.hypers[i]
+            values["sigma_u"], values["sigma_v"] = hyper.sigmas(layout)
+            views = [hyper.hyper_for_view(j) for j in range(layout.n_views)]
+            values["lam"] = [h.lam for h in views]
+            values["nu"] = [h.nu for h in views]
+        _write_fields(os.path.join(dirpath, f"sample_{i:06d}.bin"), fields,
+                      values)
     with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
 def load_chain(dirpath) -> Chain:
-    with open(os.path.join(dirpath, "manifest.json")) as fh:
-        man = json.load(fh)
-    if man.get("format") != FORMAT_VERSION:
-        raise ValueError(f"unsupported chain format {man.get('format')!r}")
-    n, k, d = man["n_rows"], man["k_total"], man["d_total"]
-    n_views = man["n_views"]
-    has_theta = man.get("has_theta", False)
+    man = _read_manifest(os.path.join(dirpath, "manifest.json"))
+    fields = _fields(man)
     states = []
     hypers = [] if man["has_hyper"] else None
-    thetas = [] if has_theta else None
+    thetas = [] if man.get("has_theta") else None
     for i in range(man["n_samples"]):
-        path = os.path.join(dirpath, f"sample_{i:06d}.bin")
-        flat = np.fromfile(path, dtype="<f8")
-        off = 0
-        u = flat[off:off + n * k].reshape(n, k); off += n * k
-        v = flat[off:off + k * d].reshape(k, d); off += k * d
-        mean = None
-        if man["has_mean"]:
-            mean = flat[off:off + d]; off += d
-        states.append(FactorState(u, v, mean))
-        if has_theta:
-            thetas.append(flat[off:off + n * d].reshape(n, d)); off += n * d
-        if man["has_hyper"]:
-            su = flat[off:off + k]; off += k
-            sv = flat[off:off + k]; off += k
-            lam = flat[off:off + n_views]; off += n_views
-            nu = flat[off:off + n_views]; off += n_views
+        f = _read_fields(os.path.join(dirpath, f"sample_{i:06d}.bin"),
+                         fields)
+        states.append(FactorState(f["u"], f["v"], f.get("mean_row")))
+        if thetas is not None:
+            thetas.append(f["theta"])
+        if hypers is not None:
             hyp = tuple(ConjugateHyper(float(l), float(m))
-                        for l, m in zip(lam, nu))
+                        for l, m in zip(f["lam"], f["nu"]))
             hypers.append(PriorSpec(beta=man["beta"], a_hyper=hyp,
-                                    sigma_u=su, sigma_v=sv,
+                                    sigma_u=f["sigma_u"],
+                                    sigma_v=f["sigma_v"],
                                     gamma=man["gamma"]))
-        if off != flat.size:
-            raise ValueError(f"{path}: unexpected length {flat.size}")
     chain = Chain(states, np.asarray(man["wall_clock"]),
                   np.asarray(man["loglik"]), hypers, thetas,
                   man.get("stats", {}), man.get("meta", {}))
@@ -181,11 +197,6 @@ def load_chain(dirpath) -> Chain:
 def save_state(state: FactorState, dirpath, extra=None):
     """Persist a single factor state (MAP result) with a manifest."""
     os.makedirs(dirpath, exist_ok=True)
-    with open(os.path.join(dirpath, "state.bin"), "wb") as fh:
-        fh.write(_tobytes(state.u))
-        fh.write(_tobytes(state.v))
-        if state.mean_row is not None:
-            fh.write(_tobytes(state.mean_row))
     manifest = {
         "format": FORMAT_VERSION,
         "n_rows": int(state.u.shape[0]),
@@ -193,6 +204,8 @@ def save_state(state: FactorState, dirpath, extra=None):
         "d_total": int(state.v.shape[1]),
         "has_mean": state.mean_row is not None,
     }
+    _write_fields(os.path.join(dirpath, "state.bin"), _fields(manifest),
+                  {"u": state.u, "v": state.v, "mean_row": state.mean_row})
     if extra:
         manifest["extra"] = extra
     with open(os.path.join(dirpath, "state_manifest.json"), "w") as fh:
@@ -200,14 +213,6 @@ def save_state(state: FactorState, dirpath, extra=None):
 
 
 def load_state(dirpath) -> FactorState:
-    with open(os.path.join(dirpath, "state_manifest.json")) as fh:
-        man = json.load(fh)
-    flat = np.fromfile(os.path.join(dirpath, "state.bin"), dtype="<f8")
-    n, k, d = man["n_rows"], man["k_total"], man["d_total"]
-    off = 0
-    u = flat[off:off + n * k].reshape(n, k); off += n * k
-    v = flat[off:off + k * d].reshape(k, d); off += k * d
-    mean = None
-    if man["has_mean"]:
-        mean = flat[off:off + d]; off += d
-    return FactorState(u, v, mean)
+    man = _read_manifest(os.path.join(dirpath, "state_manifest.json"))
+    f = _read_fields(os.path.join(dirpath, "state.bin"), _fields(man))
+    return FactorState(f["u"], f["v"], f.get("mean_row"))

@@ -17,11 +17,11 @@ import sys
 import numpy as np
 
 from .chains import save_chain, save_state
-from .evaluation import MaskError, generate_coupled, heldout_loglik
+from .evaluation import generate_coupled, heldout_loglik
 from .expfam import ConjugateHyper, DomainError, SupportError
 from .experiments import (RECIPES, coerce_fields, expect_bool,
                           make_recipe_config, run_beta_sweep, write_rows_csv)
-from .gibecca import GibeccaOptions, ProposalError, StageError, run_gibecca
+from .gibecca import GibeccaOptions, run_gibecca
 from .hmc_infer import ChainError, ExchangeOptions, HmcOptions, run_hmc_chain
 from .map_infer import FitError, FoldInError, MapOptions, fit_map
 from .model import (ConfigError, LayoutError, ShapeError, assemble_theta,
@@ -33,9 +33,9 @@ _MISSING = object()
 
 CONFIG_FAILURES = (ConfigError, ParseError, LayoutError, ShapeError,
                    DomainError, SupportError)
-NUMERIC_FAILURES = (FitError, FoldInError, ChainError, StageError,
-                    ProposalError, MaskError, np.linalg.LinAlgError,
-                    FloatingPointError, OverflowError, ValueError)
+# StageError, MaskError and LinAlgError are ValueErrors
+NUMERIC_FAILURES = (FitError, FoldInError, ChainError, FloatingPointError,
+                    OverflowError, ValueError)
 
 
 def _as_dict(value, path):
@@ -103,7 +103,7 @@ def build_prior(d, path="prior"):
 
 _OPTION_CLASSES = {"map": MapOptions, "hmc": HmcOptions,
                    "gibecca": GibeccaOptions}
-_UNSETTABLE = {"fix_v", "initial_state", "initial_theta"}
+_UNSETTABLE = {"fix_v", "initial_state"}
 # smallest accepted counts; an engine without the field rejects it as
 # unknown first.  The exchange stationarity check compares the means of
 # two halves of the inner trace, so it needs at least one sweep in each.

@@ -79,17 +79,13 @@ def generate_coupled(layout: BlockLayout, n_train: int, n_test=0, seed=0,
 
 
 def prediction_error(means: np.ndarray, x_true: np.ndarray, family) -> float:
-    """Misclassification rate for binary data, mean squared error otherwise.
-
-    Binary predictions threshold the mean parameter at 0.5.
-    """
+    """The family's prediction error: misclassification rate at a 0.5
+    threshold for binary data, mean squared error otherwise."""
     means = np.asarray(means, dtype=float)
     x_true = np.asarray(x_true, dtype=float)
     if means.shape != x_true.shape:
         raise ValueError(f"shape mismatch {means.shape} vs {x_true.shape}")
-    if family.name == "bernoulli":
-        return float(np.mean((means > 0.5) != (x_true > 0.5)))
-    return float(np.mean((means - x_true) ** 2))
+    return family.prediction_error(means, x_true)
 
 
 def heldout_loglik(thetas, obs: ObservationSet, held_mask: np.ndarray,

@@ -134,6 +134,11 @@ class Family:
         """Map an unconstrained draw into the domain (identity here)."""
         return theta
 
+    def prediction_error(self, means, x_true):
+        """Error of predicted means against observations: the mean
+        squared error here."""
+        return float(np.mean((means - x_true) ** 2))
+
     # internals ------------------------------------------------------------
 
     def _g(self, theta):
@@ -197,6 +202,10 @@ class BernoulliLogit(Family):
     def start_entries(self, theta, x, observed, rng):
         # small noise so identical columns do not start perfectly tied
         return theta + 0.1 * rng.standard_normal(x.shape)
+
+    def prediction_error(self, means, x_true):
+        # misclassification rate, thresholding the mean parameter at 0.5
+        return float(np.mean((means > 0.5) != (x_true > 0.5)))
 
     def validate_hyper(self, hyper):
         if not (0.0 < hyper.lam < hyper.nu):
@@ -328,16 +337,8 @@ POISSON = PoissonLog()
 GAUSSIAN_UNIT = GaussianUnitVariance()
 EXPONENTIAL = ExponentialRate()
 
-FAMILIES = {
-    "bernoulli": BERNOULLI,
-    "bernoulli_logit": BERNOULLI,
-    "poisson": POISSON,
-    "poisson_log": POISSON,
-    "gaussian": GAUSSIAN_UNIT,
-    "gaussian_unit": GAUSSIAN_UNIT,
-    "exponential": EXPONENTIAL,
-    "exponential_rate": EXPONENTIAL,
-}
+FAMILIES = {f.name: f for f in (BERNOULLI, POISSON, GAUSSIAN_UNIT,
+                                 EXPONENTIAL)}
 
 
 def get_family(name) -> Family:
@@ -347,5 +348,5 @@ def get_family(name) -> Family:
     try:
         return FAMILIES[str(name).lower()]
     except KeyError:
-        raise ValueError(f"unknown family {name!r}; known: bernoulli, poisson, "
-                         f"gaussian, exponential") from None
+        raise ValueError(f"unknown family {name!r}; known: "
+                         f"{', '.join(FAMILIES)}") from None

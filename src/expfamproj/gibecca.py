@@ -46,11 +46,8 @@ _TRTRS = linalg.lapack.dtrtrs
 
 
 class StageError(ValueError):
-    """Gaussian stage received a non-finite Theta or could not solve."""
-
-
-class ProposalError(RuntimeError):
-    """Proposal covariance could not be factorised."""
+    """Gaussian stage received a non-finite Theta or could not solve, or
+    the proposal covariance it implies could not be factorised."""
 
 
 @dataclass
@@ -152,7 +149,7 @@ def build_sigma(stage: GaussianStageState, layout: BlockLayout):
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
-        raise ProposalError(f"proposal covariance not PD: {exc}") from exc
+        raise StageError(f"proposal covariance not PD: {exc}") from exc
     return sigma, chol
 
 
@@ -297,7 +294,6 @@ class GibeccaOptions:
     infer_hypers: bool = True
     resid_init: float = 1.0
     fix_v: np.ndarray = None
-    initial_theta: np.ndarray = None
 
 
 def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
@@ -319,10 +315,7 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
         raise ConfigError("variance inference needs gamma > 0")
     rng = np.random.default_rng(np.random.SeedSequence([opts.seed, 23]))
 
-    if opts.initial_theta is not None:
-        theta = np.asarray(opts.initial_theta, dtype=float).copy()
-    else:
-        theta = init_theta(obs, layout, rng)
+    theta = init_theta(obs, layout, rng)
     stage = init_gaussian_stage(layout, spec, obs.n_rows, rng,
                                 opts.resid_init, opts.fix_v)
     kernel = spec.entry_terms(None, obs)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chains import Chain
 from .model import (BlockLayout, ConfigError, FactorState, ObservationSet,
-                    assemble_theta, log_likelihood)
+                    assemble_theta, likelihood_terms, log_likelihood_theta)
 from .map_infer import FreeParams, _check_obs_layout, init_state
 from .prior import PriorSpec, gaussian_block_terms, log_prior_unnorm
 
@@ -51,7 +51,6 @@ class HmcOptions:
     adapt: bool = True
     infer_hyper: bool = False
     seed: int = 0
-    init_std: float = 0.01
     fix_v: np.ndarray = None          # pin V (excluded from sampling)
     initial_state: FactorState = None
     exchange: ExchangeOptions = field(default_factory=ExchangeOptions)
@@ -305,12 +304,13 @@ def run_hmc_chain(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
     if opts.initial_state is not None:
         state = opts.initial_state.copy()
     else:
-        state = init_state(obs, layout, rng, opts.init_std)
+        state = init_state(obs, layout, rng)
     if opts.fix_v is not None:
         state.v = np.asarray(opts.fix_v, dtype=float).copy()
     state.validate(layout)
     free = FreeParams(layout, state, fix_v=opts.fix_v is not None)
     fn = free.log_density(obs, spec)
+    lik_kernel = likelihood_terms(obs, layout)
     x = free.pack(state)
     logp, grad = fn(x)
     if grad is None:
@@ -359,7 +359,8 @@ def run_hmc_chain(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
             t = max(t, prev_t + 1e-9)
             prev_t = t
             wall.append(t)
-            loglik.append(log_likelihood(obs, s, layout))
+            loglik.append(log_likelihood_theta(
+                obs, assemble_theta(s, layout), layout, kernel=lik_kernel))
             hypers.append(spec)
 
     n_kept = opts.n_samples * opts.thin

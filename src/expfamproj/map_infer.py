@@ -182,7 +182,6 @@ class MapOptions:
     max_iter: int = 2000
     grad_tol: float = None     # default 1e-5 * sqrt(N * D)
     restarts: int = 1
-    init_std: float = 0.01
     seed: int = 0
 
 
@@ -224,7 +223,7 @@ def fit_map(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
     restart_objectives = []
     for r in range(opts.restarts):
         rng = np.random.default_rng(np.random.SeedSequence([opts.seed, r]))
-        state0 = init_state(obs, layout, rng, opts.init_std)
+        state0 = init_state(obs, layout, rng)
         free = FreeParams(layout, state0)
         fun = _objective(free.log_density(obs, spec))
         try:

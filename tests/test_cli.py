@@ -263,6 +263,8 @@ def test_config_problems_exit_2(tmp_path, capsys, mutate):
     ("map", {"restarts": 0}, "options.restarts"),
     ("hmc", {"infer_hyper": True, "exchange": {"inner_sweeps": 1}},
      "options.exchange.inner_sweeps"),
+    ("map", {"init_std": 0.01}, "options.init_std"),
+    ("hmc", {"init_std": 0.01}, "options.init_std"),
 ])
 def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
                                            value, field):

@@ -277,8 +277,15 @@ def test_get_family_unknown_name():
         get_family("gamma")
 
 
+def test_get_family_takes_only_the_family_names():
+    assert sorted(FAMILIES) == ["bernoulli", "exponential", "gaussian",
+                                "poisson"]
+    with pytest.raises(ValueError, match="known: bernoulli, poisson"):
+        get_family("poisson_log")
+
+
 def test_registry_is_consistent():
-    # aliases map to the same singleton as the canonical name
+    # each name maps to the singleton that carries it
     for name, fam in FAMILIES.items():
         assert get_family(name) is fam
         assert FAMILIES[fam.name] is fam

@@ -49,6 +49,15 @@ def test_sigma_never_couples_views():
     assert np.allclose(off, expect - np.diag(np.diag(expect)), atol=1e-12)
 
 
+def test_sigma_that_is_not_positive_definite_raises_stage_error():
+    """Proposal failures share the Gaussian stage's exception type."""
+    lay = make_layout("ecca", (2, 3), (1, 0, 0), ("gaussian", "gaussian"))
+    stage = _stage(lay, FLAT, 4, 1)
+    stage.resid[:] = (-10.0, -10.0)
+    with pytest.raises(StageError, match="proposal covariance"):
+        build_sigma(stage, lay)
+
+
 def test_proposal_rows_match_mean_and_covariance():
     lay = make_layout("ecca", (2, 2), (1, 1, 1), ("gaussian", "gaussian"))
     spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.1, 0.2),
