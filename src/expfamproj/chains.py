@@ -1,4 +1,4 @@
-"""Sample containers and on-disk persistence.
+"""Sample containers, chain recording and on-disk persistence.
 
 A Chain stores post-burn-in samples of the factor state (and, when the
 sampler infers them, the prior hyperparameters), together with a wall
@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expfam import ConjugateHyper
-from .model import BlockLayout, FactorState, assemble_theta
+from .model import (BlockLayout, FactorState, assemble_theta,
+                    likelihood_terms, log_likelihood_theta)
 from .prior import PriorSpec
 
 FORMAT_VERSION = 1
@@ -57,6 +59,63 @@ class Chain:
         if self.thetas is not None:
             return [np.asarray(t) for t in self.thetas]
         return [assemble_theta(s, layout) for s in self.states]
+
+
+@dataclass
+class ChainOptions:
+    """Schedule and seed shared by the samplers' options."""
+    n_samples: int = 500
+    burn_in: int = 500
+    thin: int = 1
+    seed: int = 0
+
+
+class ChainRecorder:
+    """Sweep schedule and stored samples of one sampler chain.
+
+    sweeps() yields (sweep, kept): kept marks every thin-th sweep after
+    burn_in.  record() stores a kept sweep's state with a strictly
+    increasing wall-clock time and its data log-likelihood, scored from
+    the given Theta or else from the state; finish() builds the Chain.
+    """
+
+    def __init__(self, obs, layout: BlockLayout, opts: ChainOptions, engine,
+                 thetas=False, hypers=False, **meta):
+        self._obs, self._layout, self._opts = obs, layout, opts
+        self._kernel = likelihood_terms(obs, layout)
+        self._states, self._wall, self._loglik = [], [], []
+        self._thetas = [] if thetas else None
+        self._hypers = [] if hypers else None
+        self._meta = dict(engine=engine, seed=opts.seed,
+                          n_samples=opts.n_samples, burn_in=opts.burn_in,
+                          thin=opts.thin, **meta)
+
+    def sweeps(self):
+        o = self._opts
+        self._t0 = time.perf_counter()
+        for sweep in range(o.burn_in + o.n_samples * o.thin):
+            yield sweep, (sweep >= o.burn_in
+                          and (sweep - o.burn_in) % o.thin == 0)
+
+    def record(self, state: FactorState, theta=None, hyper=None):
+        prev = self._wall[-1] if self._wall else 0.0
+        self._wall.append(max(time.perf_counter() - self._t0, prev + 1e-9))
+        self._states.append(state)
+        if self._thetas is not None:
+            self._thetas.append(theta)
+        if self._hypers is not None:
+            self._hypers.append(hyper)
+        if theta is None:
+            theta = assemble_theta(state, self._layout)
+        self._loglik.append(log_likelihood_theta(
+            self._obs, theta, self._layout, kernel=self._kernel))
+
+    def finish(self, stats: dict) -> Chain:
+        chain = Chain(self._states, np.asarray(self._wall),
+                      np.asarray(self._loglik), self._hypers, self._thetas,
+                      stats, self._meta)
+        chain.validate()
+        return chain
 
 
 def shared_latent_mean(chain: Chain, layout: BlockLayout) -> np.ndarray:

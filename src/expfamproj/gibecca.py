@@ -24,15 +24,14 @@ plus a trace-scaled jitter before factorisation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
-from .chains import Chain
+from .chains import Chain, ChainOptions, ChainRecorder
 from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
-                    ObservationSet, likelihood_terms, log_likelihood_theta)
+                    ObservationSet)
 from .map_infer import _check_obs_layout, moment_matched_row
 from .prior import PriorSpec, factor_sums_of_squares
 
@@ -286,11 +285,7 @@ def init_theta(obs: ObservationSet, layout: BlockLayout,
 
 
 @dataclass
-class GibeccaOptions:
-    n_samples: int = 500
-    burn_in: int = 500
-    thin: int = 1
-    seed: int = 0
+class GibeccaOptions(ChainOptions):
     infer_hypers: bool = True
     resid_init: float = 1.0
     fix_v: np.ndarray = None
@@ -319,18 +314,15 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
     stage = init_gaussian_stage(layout, spec, obs.n_rows, rng,
                                 opts.resid_init, opts.fix_v)
     kernel = spec.entry_terms(None, obs)
-    lik_kernel = likelihood_terms(obs, layout)
     plan = stage_plan(layout)
 
-    n_total = opts.burn_in + opts.n_samples * opts.thin
-    states, thetas, wall, loglik = [], [], [], []
     var_u_trace, var_v_trace, resid_trace = [], [], []
     n_acc = 0
     n_tot = 0
-    t0 = time.perf_counter()
-    prev_t = 0.0
+    rec = ChainRecorder(obs, layout, opts, "gibecca", thetas=True,
+                        infer_hypers=opts.infer_hypers)
 
-    for sweep in range(n_total):
+    for _, kept in rec.sweeps():
         stage = gibbs_gaussian_stage(theta, layout, stage, rng,
                                      sample_v=opts.fix_v is None,
                                      infer_variances=opts.infer_hypers,
@@ -341,29 +333,16 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
         n_acc += int(accepted.sum())
         n_tot += accepted.size
 
-        if sweep >= opts.burn_in and (sweep - opts.burn_in) % opts.thin == 0:
-            states.append(FactorState(stage.u.copy(), stage.v.copy()))
-            thetas.append(theta.copy())
-            t = time.perf_counter() - t0
-            t = max(t, prev_t + 1e-9)
-            prev_t = t
-            wall.append(t)
-            loglik.append(log_likelihood_theta(obs, theta, layout,
-                                               kernel=lik_kernel))
+        if kept:
+            rec.record(FactorState(stage.u.copy(), stage.v.copy()),
+                       theta.copy())
             var_u_trace.append(stage.var_u.tolist())
             var_v_trace.append(stage.var_v.tolist())
             resid_trace.append(stage.resid.tolist())
 
-    stats = {
+    return rec.finish({
         "theta_accept_rate": (n_acc / n_tot) if n_tot else None,
         "var_u_trace": var_u_trace,
         "var_v_trace": var_v_trace,
         "resid_trace": resid_trace,
-    }
-    meta = {"engine": "gibecca", "seed": opts.seed,
-            "n_samples": opts.n_samples, "burn_in": opts.burn_in,
-            "thin": opts.thin, "infer_hypers": opts.infer_hypers}
-    chain = Chain(states, np.asarray(wall), np.asarray(loglik), None,
-                  thetas, stats, meta)
-    chain.validate()
-    return chain
+    })

@@ -12,14 +12,14 @@ which cancels the unknown normalisers in expectation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Chain
+from .chains import Chain, ChainOptions, ChainRecorder
+from .expfam import ConjugateHyper
 from .model import (BlockLayout, ConfigError, FactorState, ObservationSet,
-                    assemble_theta, likelihood_terms, log_likelihood_theta)
+                    assemble_theta)
 from .map_infer import FreeParams, _check_obs_layout, init_state
 from .prior import PriorSpec, gaussian_block_terms, log_prior_unnorm
 
@@ -42,15 +42,11 @@ class ExchangeOptions:
 
 
 @dataclass
-class HmcOptions:
-    n_samples: int = 500
-    burn_in: int = 500
-    thin: int = 1
+class HmcOptions(ChainOptions):
     step_size: float = 0.05
     n_leapfrog: int = 20
     adapt: bool = True
     infer_hyper: bool = False
-    seed: int = 0
     fix_v: np.ndarray = None          # pin V (excluded from sampling)
     initial_state: FactorState = None
     exchange: ExchangeOptions = field(default_factory=ExchangeOptions)
@@ -133,16 +129,10 @@ def _propose_block(spec: PriorSpec, layout: BlockLayout, block: str,
     walk is reversible against the flat-in-log hyperprior, so the
     Hastings and prior factors cancel exactly in the acceptance ratio.
     """
-    from .expfam import ConjugateHyper
-
-    if block == "sigma_u":
-        cur = np.asarray(spec.sigma_u, dtype=float)
+    if block in ("sigma_u", "sigma_v"):
+        cur = np.asarray(getattr(spec, block), dtype=float)
         prop = cur * np.exp(scale * rng.standard_normal(cur.shape))
-        return spec.replace(sigma_u=prop if cur.ndim else float(prop))
-    if block == "sigma_v":
-        cur = np.asarray(spec.sigma_v, dtype=float)
-        prop = cur * np.exp(scale * rng.standard_normal(cur.shape))
-        return spec.replace(sigma_v=prop if cur.ndim else float(prop))
+        return spec.replace(**{block: prop if cur.ndim else float(prop)})
     if block.startswith("sigma_v:"):
         k = int(block.split(":")[1])
         sv = spec.sigmas(layout)[1]
@@ -310,7 +300,6 @@ def run_hmc_chain(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
     state.validate(layout)
     free = FreeParams(layout, state, fix_v=opts.fix_v is not None)
     fn = free.log_density(obs, spec)
-    lik_kernel = likelihood_terms(obs, layout)
     x = free.pack(state)
     logp, grad = fn(x)
     if grad is None:
@@ -318,15 +307,14 @@ def run_hmc_chain(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
 
     blocks = _hyper_blocks(spec, layout) if opts.infer_hyper else []
     step_size = float(opts.step_size)
-    n_total = opts.burn_in + opts.n_samples * opts.thin
-    states, hypers, wall, loglik = [], [], [], []
     n_acc_sample = n_acc_burn = 0
     n_divergent = 0
     exch_stats = {"accepted": 0, "flagged": 0, "proposed": 0}
-    t0 = time.perf_counter()
-    prev_t = 0.0
+    rec = ChainRecorder(obs, layout, opts, "hmc", hypers=opts.infer_hyper,
+                        n_leapfrog=opts.n_leapfrog,
+                        infer_hyper=opts.infer_hyper)
 
-    for sweep in range(n_total):
+    for sweep, kept in rec.sweeps():
         in_burn = sweep < opts.burn_in
         x, logp, grad, accepted, divergent = _hmc_transition(
             x, logp, grad, fn, step_size, opts.n_leapfrog, rng)
@@ -352,16 +340,8 @@ def run_hmc_chain(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
                 fn = free.log_density(obs, spec)
                 logp, grad = fn(x)
 
-        if not in_burn and (sweep - opts.burn_in) % opts.thin == 0:
-            s = free.unpack(x)
-            states.append(s)
-            t = time.perf_counter() - t0
-            t = max(t, prev_t + 1e-9)
-            prev_t = t
-            wall.append(t)
-            loglik.append(log_likelihood_theta(
-                obs, assemble_theta(s, layout), layout, kernel=lik_kernel))
-            hypers.append(spec)
+        if kept:
+            rec.record(free.unpack(x), hyper=spec)
 
     n_kept = opts.n_samples * opts.thin
     if n_kept > 0 and n_acc_sample / n_kept < 0.01:
@@ -369,17 +349,10 @@ def run_hmc_chain(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
             f"post-adaptation acceptance rate {n_acc_sample / n_kept:.4f} "
             f"below 1%; try a smaller step_size")
 
-    stats = {
+    return rec.finish({
         "accept_rate": (n_acc_sample / n_kept) if n_kept else None,
         "accept_rate_burnin": (n_acc_burn / opts.burn_in) if opts.burn_in else None,
         "step_size_final": float(step_size),
         "divergent": n_divergent,
         "exchange": exch_stats if blocks else None,
-    }
-    meta = {"engine": "hmc", "seed": opts.seed, "n_samples": opts.n_samples,
-            "burn_in": opts.burn_in, "thin": opts.thin,
-            "n_leapfrog": opts.n_leapfrog, "infer_hyper": opts.infer_hyper}
-    chain = Chain(states, np.asarray(wall), np.asarray(loglik),
-                  hypers if opts.infer_hyper else None, None, stats, meta)
-    chain.validate()
-    return chain
+    })

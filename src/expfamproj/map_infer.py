@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expfam import ConjugateHyper
 from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
                     ObservationSet, assemble_theta, log_pdf_sum_at)
 from .optimize import (ARMIJO_C, ARMIJO_SHRINK, MAX_BACKTRACKS,
@@ -436,8 +437,6 @@ def cv_select_hyperparams(obs: ObservationSet, layout: BlockLayout, beta,
     returned spec carries the winning values at the requested beta with
     gamma = 1 - beta.
     """
-    from .expfam import ConjugateHyper
-
     a_grid = tuple(a_grid) if a_grid is not None else DEFAULT_A_GRID
     bc_grid = tuple(bc_grid) if bc_grid is not None else DEFAULT_BC_GRID
     if not a_grid or not bc_grid:

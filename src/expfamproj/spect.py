@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 
+from .evaluation import MaskError
 from .expfam import BERNOULLI
 from .model import ConfigError, ObservationSet
 
@@ -102,8 +103,6 @@ def make_holdout(obs: ObservationSet, frac=0.2, seed=0):
     Returns (train_obs, held_mask); train_obs shares x with obs but masks
     the held-out entries as unobserved.
     """
-    from .evaluation import MaskError
-
     if not 0.0 < frac < 1.0:
         raise ConfigError(f"holdout fraction must be in (0, 1), got {frac}")
     if np.any(obs.observed.sum(axis=1) == 0):

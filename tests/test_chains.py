@@ -1,12 +1,15 @@
-"""Chain containers, sign-aligned summaries, and binary persistence."""
+"""Chain containers, sign-aligned summaries, the samplers' shared
+sweep schedule and clock, and binary persistence."""
+
+import time
 
 import numpy as np
 import pytest
 
-from expfamproj import (Chain, ConjugateHyper, FactorState, HmcOptions,
-                        PriorSpec, load_chain, load_state, make_layout,
-                        run_hmc_chain, save_chain, save_state,
-                        shared_latent_mean)
+from expfamproj import (Chain, ConjugateHyper, ExchangeOptions, FactorState,
+                        GibeccaOptions, HmcOptions, PriorSpec, load_chain,
+                        load_state, make_layout, run_gibecca, run_hmc_chain,
+                        save_chain, save_state, shared_latent_mean)
 
 from conftest import dense_observations, make_rng
 
@@ -190,3 +193,60 @@ def test_identical_seeds_give_identical_chains():
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.v, b.v)
     assert np.array_equal(c1.loglik, c2.loglik)
+
+
+def _run_hmc(obs, lay, spec, **schedule):
+    return run_hmc_chain(obs, lay, spec, HmcOptions(
+        step_size=0.05, n_leapfrog=5, infer_hyper=True,
+        exchange=ExchangeOptions(inner_sweeps=20), **schedule))
+
+
+def _run_gibecca(obs, lay, spec, **schedule):
+    return run_gibecca(obs, lay, spec, GibeccaOptions(**schedule))
+
+
+SAMPLERS = {"hmc": _run_hmc, "gibecca": _run_gibecca}
+
+
+def _ecca_problem():
+    lay = make_layout("ecca", (3, 3), (1, 1, 1), ("poisson", "bernoulli"))
+    theta = 0.5 * make_rng(13, 9).standard_normal((10, 6))
+    obs = dense_observations(lay, theta, seed=139)
+    spec = PriorSpec(beta=0.1, a_hyper=ConjugateHyper(0.5, 1.0))
+    return lay, obs, spec
+
+
+@pytest.mark.parametrize("engine", sorted(SAMPLERS))
+def test_thinning_keeps_the_sweeps_burn_in_plus_multiples_of_thin(engine):
+    """A thin=3 chain holds exactly every third draw of a thin=1 chain
+    that runs the same sweeps from the same seed."""
+    lay, obs, spec = _ecca_problem()
+    run = SAMPLERS[engine]
+    every = run(obs, lay, spec, n_samples=15, burn_in=7, thin=1, seed=2)
+    thinned = run(obs, lay, spec, n_samples=5, burn_in=7, thin=3, seed=2)
+    assert thinned.n_samples == 5
+    keep = slice(0, None, 3)
+    for a, b in zip(thinned.states, every.states[keep]):
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.v, b.v)
+    assert np.array_equal(thinned.loglik, every.loglik[keep])
+    if engine == "gibecca":
+        for a, b in zip(thinned.thetas, every.thetas[keep]):
+            assert np.array_equal(a, b)
+    else:
+        for a, b in zip(thinned.hypers, every.hypers[keep]):
+            for x, y in zip(a.sigmas(lay), b.sigmas(lay)):
+                assert np.array_equal(x, y)
+            assert a.a_hyper == b.a_hyper
+
+
+@pytest.mark.parametrize("engine", sorted(SAMPLERS))
+def test_wall_clock_stays_strictly_increasing_on_a_stopped_clock(
+        engine, monkeypatch):
+    """With no time passing between stored samples, each one is stamped
+    1e-9 s after the one before, so the chain still validates."""
+    lay, obs, spec = _ecca_problem()
+    monkeypatch.setattr(time, "perf_counter", lambda: 5.0)
+    chain = SAMPLERS[engine](obs, lay, spec, n_samples=4, burn_in=2, seed=3)
+    chain.validate()
+    assert np.array_equal(chain.wall_clock, np.cumsum(np.full(4, 1e-9)))
