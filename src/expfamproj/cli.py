@@ -288,8 +288,11 @@ def cmd_impute(cfg, args):
     pred_path = os.path.join(args.out, "predictions.csv")
     with open(pred_path, "w") as fh:
         fh.write("row,col,true,predicted_mean\n")
-        for r, c in zip(*np.nonzero(held)):
-            fh.write(f"{r},{c},{obs.x[r, c]:.17g},{means[r, c]:.17g}\n")
+        rows, cols = np.nonzero(held)
+        fh.writelines(
+            f"{r},{c},{t:.17g},{m:.17g}\n" for r, c, t, m in zip(
+                rows.tolist(), cols.tolist(), obs.x[held].tolist(),
+                means[held].tolist()))
     summary = {"engine": engine, "heldout_loglik": ll,
                "n_holdout": int(held.sum())}
     if notice:

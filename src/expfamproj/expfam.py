@@ -147,6 +147,12 @@ class Family:
     def _gprime(self, theta):
         raise NotImplementedError
 
+    def _g_and_gprime(self, theta, g=None):
+        """(g(theta), g'(theta)); g, when given, is g(theta) already
+        computed and is returned as it is.  A family whose g' can reuse
+        the work of g overrides this."""
+        return self._g(theta) if g is None else g, self._gprime(theta)
+
     def _gsecond(self, theta):
         """g''(theta), the variance of x under theta."""
         raise NotImplementedError
@@ -234,6 +240,11 @@ class PoissonLog(Family):
     def _gprime(self, theta):
         with np.errstate(over="ignore"):
             return np.exp(theta)
+
+    def _g_and_gprime(self, theta, g=None):
+        # g' = g = e^theta: one exp serves both
+        g = self._g(theta) if g is None else g
+        return g, g
 
     def _gsecond(self, theta):
         with np.errstate(over="ignore"):

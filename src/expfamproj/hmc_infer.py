@@ -21,7 +21,7 @@ from .expfam import ConjugateHyper
 from .model import (BlockLayout, ConfigError, FactorState, ObservationSet,
                     assemble_theta)
 from .map_infer import FreeParams, _check_obs_layout, init_state
-from .prior import PriorSpec, gaussian_block_terms, log_prior_unnorm
+from .prior import GaussianBlocks, PriorSpec, log_prior_unnorm
 
 TARGET_ACCEPT = 0.75
 ADAPT_RATE = 0.05
@@ -173,12 +173,13 @@ def sample_prior_approx(spec: PriorSpec, layout: BlockLayout, n_rows: int,
     product and are scored by one pass of the entrywise kernel, and the
     accept/reject decisions then run in sweep order.  The Gaussian terms
     of log f are computed once per state the chain holds, not once per
-    sweep.
+    sweep, from constants computed once per call.
     """
     opts = opts or ExchangeOptions()
     if spec.gamma <= 0:
         raise ConfigError("exchange sampling needs gamma > 0 proposals")
-    su, sv = spec.sigmas(layout)
+    blocks = GaussianBlocks(spec, layout, n_rows)
+    su, sv = blocks.sigmas
     sd_u = np.sqrt(su / spec.gamma)
     sd_v = np.sqrt(sv / spec.gamma)
     k, d = layout.k_total, layout.d_total
@@ -225,7 +226,7 @@ def sample_prior_approx(spec: PriorSpec, layout: BlockLayout, n_rows: int,
                 n_accept += 1
                 gauss = None
             if gauss is None:
-                log_b, log_c = gaussian_block_terms(state, spec, layout)
+                log_b, log_c = blocks.terms(state.u, state.v)
                 gauss = spec.gamma * (log_b + log_c)
             trace[start + j] = conj + gauss
 

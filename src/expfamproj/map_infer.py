@@ -25,7 +25,7 @@ from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
                     ObservationSet, assemble_theta, log_pdf_sum_at)
 from .optimize import (ARMIJO_C, ARMIJO_SHRINK, MAX_BACKTRACKS,
                        minimize_cg)
-from .prior import PriorSpec, log_density
+from .prior import PreparedDensity, PriorSpec, log_density
 
 
 class FitError(RuntimeError):
@@ -91,19 +91,31 @@ class FreeParams:
 
     def log_density(self, obs: ObservationSet, spec: PriorSpec):
         """x -> (log posterior, its packed gradient) over the free
-        coordinates; (-inf, None) at infeasible points, and the gradient
-        None when called with want_grad=False.  The entrywise kernel is
-        built here once and shared by every evaluation."""
-        kernel = spec.entry_terms(self.layout, obs)
+        coordinates; (-inf, None) at infeasible points.  Called with
+        want_grad=False, the second item is instead a zero-argument
+        function that gives the packed gradient at x, or None where it is
+        not finite.  One PreparedDensity, built here, serves every
+        evaluation; it holds the last value-only point, so that function,
+        called before the next evaluation, reuses that point's Theta and
+        g(Theta) and does only the gradient work."""
+        kernel = PreparedDensity(spec, self.layout, obs, self.n_rows)
 
         def fn(x, want_grad=True):
+            state = self.unpack(x)
             logp, gu, gv, gm = posterior_logp_and_grad(
-                self.unpack(x), obs, self.layout, spec, want_grad,
-                kernel=kernel)
+                state, obs, self.layout, spec, want_grad, kernel=kernel)
             if not np.isfinite(logp):
                 return -np.inf, None
-            return logp, self.pack_grad(gu, gv, gm) if want_grad else None
+            if want_grad:
+                return logp, self.pack_grad(gu, gv, gm)
+            return logp, functools.partial(self._gradient_at, state, obs,
+                                           spec, kernel)
         return fn
+
+    def _gradient_at(self, state, obs, spec, kernel):
+        logp, gu, gv, gm = posterior_logp_and_grad(
+            state, obs, self.layout, spec, True, kernel=kernel)
+        return self.pack_grad(gu, gv, gm) if np.isfinite(logp) else None
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +141,21 @@ def posterior_logp_and_grad(state: FactorState, obs: ObservationSet,
 def _objective(density):
     """Negative log posterior for minimize_cg: x -> (value, gradient
     thunk), the value +inf where infeasible.  Only the value is computed
-    here; the thunk forms the gradient, or None where it is not finite."""
+    here; the thunk forms the gradient, or None where it is not finite,
+    from the point this value call left in the density's prepared kernel."""
     def fun_and_grad(x):
-        logp, _ = density(x, want_grad=False)
-        return -logp, functools.partial(_negative_gradient, density, x)
+        logp, grad = density(x, want_grad=False)
+        return -logp, functools.partial(_negated, grad)
     return fun_and_grad
 
 
-def _negative_gradient(density, x):
+def _negated(grad):
     # a module function, not a closure over fun_and_grad: a thunk that
     # referred back to its objective would close a reference cycle and
     # keep each objective's kernel and data alive until the cyclic
     # garbage collector ran
-    grad = density(x)[1]
-    return None if grad is None else -grad
+    g = grad()
+    return None if g is None else -g
 
 
 # ---------------------------------------------------------------------------

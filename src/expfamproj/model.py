@@ -311,11 +311,24 @@ class EntryTerms:
         """(values, d values / d theta), each shaped like theta, which may
         be a stack (..., N, D); the derivative is None unless want_grad.
         None when any entry leaves the domain of its view's family."""
+        out = self.score(theta)
+        if out is None:
+            return None
+        vals, gs = out
+        return vals, self.slopes(theta, gs) if want_grad else None
+
+    def score(self, theta):
+        """(values, gs): the entry values shaped like theta and, per view,
+        g of its columns of theta, for slopes to reuse.  None when any
+        entry leaves the domain of its view's family."""
+        return self._score(theta, check=True)
+
+    def _score(self, theta, check):
         vals = self._alloc(theta)
-        grad = self._alloc(theta) if want_grad else None
+        gs = []
         for fam, cols, x, h, m, w, lam, nu in self.views:
             t = theta[..., cols]
-            if not np.all(fam.in_domain(t)):
+            if check and not np.all(fam.in_domain(t)):
                 return None
             g = fam._g(t)
             val = 0.0
@@ -324,15 +337,22 @@ class EntryTerms:
             if self.beta > 0:
                 val = val + self.beta * (lam * t - nu * g)
             vals[..., cols] = val
-            if want_grad:
-                mu = fam._gprime(t)
-                dval = 0.0
-                if x is not None:
-                    dval = np.where(m, x - mu, 0.0) * w
-                if self.beta > 0:
-                    dval = dval + self.beta * (lam - nu * mu)
-                grad[..., cols] = dval
-        return vals, grad
+            gs.append(g)
+        return vals, gs
+
+    def slopes(self, theta, gs):
+        """d values / d theta, shaped like theta, from theta and the
+        per-view g(theta) that score returned for it."""
+        grad = self._alloc(theta)
+        for (fam, cols, x, h, m, w, lam, nu), g in zip(self.views, gs):
+            _, mu = fam._g_and_gprime(theta[..., cols], g)
+            dval = 0.0
+            if x is not None:
+                dval = np.where(m, x - mu, 0.0) * w
+            if self.beta > 0:
+                dval = dval + self.beta * (lam - nu * mu)
+            grad[..., cols] = dval
+        return grad
 
     def curvature(self, theta):
         """Minus the second derivative of the entry terms wrt theta,
@@ -356,11 +376,12 @@ class EntryTerms:
         evaluated."""
         ok = self.in_domain(theta)
         if ok.all():
-            sums = np.sum(self.terms(theta)[0], axis=(-2, -1))
+            sums = np.sum(self._score(theta, check=False)[0], axis=(-2, -1))
         else:
             sums = np.full(ok.shape, -np.inf)
             if ok.any():
-                sums[ok] = np.sum(self.terms(theta[ok])[0], axis=(-2, -1))
+                sums[ok] = np.sum(self._score(theta[ok], check=False)[0],
+                                  axis=(-2, -1))
         return float(sums) if sums.ndim == 0 else sums
 
     def log_ratio(self, old, star):

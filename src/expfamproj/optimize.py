@@ -9,9 +9,13 @@ feasible region), and guarantees a monotone objective trace.
 
 The objective returns its value and a zero-argument function that gives
 the gradient at the same point.  The gradient is formed only at the
-starting point and at the points a line search accepts; a trial step
-that is rejected costs one value.  A gradient of None (not finite)
-rejects the step as an infinite value would.
+starting point and at the points a line search accepts, right after
+their value and before any other evaluation, so a thunk may reuse what
+its value call computed (the MAP objective's reuses Theta and g(Theta));
+a trial step that is rejected costs one value, and its thunk is dropped
+before the next trial is scored, so at most one scored point is held.
+A gradient of None (not finite) rejects the step as an infinite value
+would.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ def minimize_cg(fun_and_grad, x0, grad_tol, max_iter=2000) -> CGResult:
     x = np.asarray(x0, dtype=float).copy()
     f, grad = fun_and_grad(x)
     g = grad() if np.isfinite(f) else None
+    del grad
     if g is None:
         raise ValueError("objective is not finite at the initial point")
     trace = [f]
@@ -103,5 +108,7 @@ def _armijo(fun_and_grad, x, f, d, slope, step):
             g_new = grad()
             if g_new is not None:
                 return f_new, g_new, x_new, step
+        # whatever a rejected trial's thunk holds goes before the next trial
+        del grad
         step *= ARMIJO_SHRINK
     return None, None, None, step

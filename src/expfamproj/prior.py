@@ -17,7 +17,9 @@ and any entry of U V leaves the domain; with beta = 0 the a term (and any
 g evaluation) is skipped entirely.
 
 log_density scores the posterior, likelihood times prior, with its
-gradients; the prior is the same density without data (obs None).
+gradients; the prior is the same density without data (obs None).  A
+PreparedDensity is log_density built once for a caller that scores many
+states: fits and chains pass it as log_density's kernel.
 """
 
 from __future__ import annotations
@@ -108,17 +110,95 @@ def factor_sums_of_squares(u, v, free):
             np.sum(np.where(free, v, 0.0) ** 2, axis=1))
 
 
+class GaussianBlocks:
+    """The Gaussian blocks b(U) and c(V) for one spec, layout and row count
+    N, with what a fit holds fixed computed once: the free mask of V, the
+    variance vectors (sigma_u, sigma_v) and the per-component normalisers
+    -n/2 log(2 pi s), n the component's number of free entries."""
+
+    def __init__(self, spec: PriorSpec, layout: BlockLayout, n_rows):
+        self.free = ~layout.zero_mask
+        self.sigmas = spec.sigmas(layout)
+        n_terms = (np.full(layout.k_total, n_rows), self.free.sum(axis=1))
+        self.norms = tuple(-0.5 * n * (LOG_2PI + np.log(s))
+                           for n, s in zip(n_terms, self.sigmas))
+
+    def terms(self, u, v):
+        """(log b(U), log c(V)) with full normalising constants."""
+        # per block, sum over components of  -n/2 log(2 pi s) - ssq / (2 s)
+        return tuple(float(np.sum(norm - 0.5 * ssq / s))
+                     for ssq, norm, s in zip(
+                         factor_sums_of_squares(u, v, self.free),
+                         self.norms, self.sigmas))
+
+
 def gaussian_block_terms(state: FactorState, spec: PriorSpec,
                          layout: BlockLayout):
     """(log b(U), log c(V)) with full normalising constants."""
-    free = ~layout.zero_mask
-    u_ssq, v_ssq = factor_sums_of_squares(state.u, state.v, free)
-    n_terms = (np.full(layout.k_total, state.u.shape[0]), free.sum(axis=1))
-    # per block, sum over components of  -n/2 log(2 pi s) - ssq / (2 s)
-    return tuple(float(np.sum(-0.5 * n * (LOG_2PI + np.log(s))
-                              - 0.5 * ssq / s))
-                 for ssq, n, s in zip((u_ssq, v_ssq), n_terms,
-                                      spec.sigmas(layout)))
+    return GaussianBlocks(spec, layout, state.u.shape[0]).terms(state.u,
+                                                                state.v)
+
+
+class PreparedDensity:
+    """log_density of one (spec, layout, obs) for states with n_rows rows,
+    prepared once for a caller that scores many states: the entrywise
+    kernel (kernel, when given, is spec.entry_terms(layout, obs) built by
+    the caller) and the Gaussian blocks' constants.
+
+    A value-only evaluation keeps its point (the state, Theta, each view's
+    g(Theta) and the value) until the next evaluation starts, so that a
+    gradient asked next for the same state object reuses them and does
+    only the gradient work.  At most one point is held.
+    """
+
+    def __init__(self, spec: PriorSpec, layout: BlockLayout, obs, n_rows,
+                 kernel: EntryTerms = None):
+        self.layout = layout
+        self.gamma = spec.gamma
+        self.kernel = (spec.entry_terms(layout, obs) if kernel is None
+                       else kernel)
+        self.blocks = (GaussianBlocks(spec, layout, n_rows)
+                       if spec.gamma > 0 else None)
+        self._point = None
+
+    def __call__(self, state: FactorState, want_grad=True):
+        """(logp, grad_u, grad_v, grad_mean) as log_density returns it."""
+        point = self._point
+        if want_grad and point is not None and point[0] is state:
+            _, theta, gs, logp = point
+            self._point = point = None
+        else:
+            self._point = point = None   # freed before Theta is formed
+            theta = assemble_theta(state, self.layout)
+            out = self.kernel.score(theta)
+            if out is None:
+                return -np.inf, None, None, None
+            vals, gs = out
+            logp = float(np.sum(vals))
+            if self.blocks is not None:
+                log_b, log_c = self.blocks.terms(state.u, state.v)
+                logp += self.gamma * (log_b + log_c)
+            if not np.isfinite(logp):
+                # overflow inside g (e.g. huge Poisson rates) counts as
+                # infeasible
+                return -np.inf, None, None, None
+            if not want_grad:
+                self._point = (state, theta, gs, logp)
+                return logp, None, None, None
+
+        w = self.kernel.slopes(theta, gs)   # d logp / d theta
+        grad_u = w @ state.v.T
+        grad_v = state.u.T @ w
+        grad_mean = w.sum(axis=0) if self.layout.use_mean_row else None
+        if self.blocks is not None:
+            su, sv = self.blocks.sigmas
+            grad_u = grad_u - self.gamma * state.u / su
+            grad_v = grad_v - self.gamma * state.v / sv[:, None]
+        grad_v[self.layout.zero_mask] = 0.0
+        if not (np.all(np.isfinite(grad_u)) and np.all(np.isfinite(grad_v))
+                and (grad_mean is None or np.all(np.isfinite(grad_mean)))):
+            return -np.inf, None, None, None
+        return logp, grad_u, grad_v, grad_mean
 
 
 def log_density(state: FactorState, obs, layout: BlockLayout,
@@ -126,45 +206,16 @@ def log_density(state: FactorState, obs, layout: BlockLayout,
     """Log-likelihood of obs plus log a(UV)^beta b(U)^gamma c(V)^gamma,
     with its gradients wrt (U, V, mean_row); the log prior when obs is None.
 
-    kernel, when given, is spec.entry_terms(layout, obs) built once by a
-    caller that scores the same data many times; the result is the same.
+    kernel, when given, is a PreparedDensity of (spec, layout, obs), or
+    spec.entry_terms(layout, obs), built once by a caller that scores the
+    same data many times; the result is the same.
     Returns (logp, grad_u, grad_v, grad_mean), with None for gradients not
     asked for or absent (no mean row) and exact zeros on masked V entries;
     (-inf, None, None, None) out of the domain or where anything overflows.
     """
-    if kernel is None:
-        kernel = spec.entry_terms(layout, obs)
-    out = kernel.terms(assemble_theta(state, layout), want_grad)
-    if out is None:
-        return -np.inf, None, None, None
-    contrib, w = out   # per-entry log terms and d logp / d theta
-    gamma = spec.gamma
-
-    logp = float(np.sum(contrib))
-    grad_u = grad_v = grad_mean = None
-    if want_grad:
-        grad_u = w @ state.v.T
-        grad_v = state.u.T @ w
-        if layout.use_mean_row:
-            grad_mean = w.sum(axis=0)
-
-    if gamma > 0:
-        log_b, log_c = gaussian_block_terms(state, spec, layout)
-        logp += gamma * (log_b + log_c)
-        if want_grad:
-            su, sv = spec.sigmas(layout)
-            grad_u = grad_u - gamma * state.u / su
-            grad_v = grad_v - gamma * state.v / sv[:, None]
-
-    if not np.isfinite(logp):
-        # overflow inside g (e.g. huge Poisson rates) counts as infeasible
-        return -np.inf, None, None, None
-    if want_grad:
-        grad_v[layout.zero_mask] = 0.0
-        if not (np.all(np.isfinite(grad_u)) and np.all(np.isfinite(grad_v))
-                and (grad_mean is None or np.all(np.isfinite(grad_mean)))):
-            return -np.inf, None, None, None
-    return logp, grad_u, grad_v, grad_mean
+    if not isinstance(kernel, PreparedDensity):
+        kernel = PreparedDensity(spec, layout, obs, state.u.shape[0], kernel)
+    return kernel(state, want_grad)
 
 
 def log_prior_unnorm(state: FactorState, spec: PriorSpec,

@@ -71,6 +71,26 @@ def test_second_derivative_matches_difference_of_mean(name, thetas):
         assert fam._gsecond(t) == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("name, thetas", [
+    ("bernoulli", (-30.0, -1.0, 0.0, 8.0)),
+    ("poisson", (-5.0, 0.0, 2.0, 800.0)),
+    ("gaussian", (-3.0, 0.0, 4.0)),
+    ("exponential", (-20.0, -1.0, -1e-3)),
+])
+def test_g_and_gprime_is_g_and_gprime_bit_for_bit(name, thetas):
+    """_g_and_gprime gives _g and _gprime to the last bit, and passes a
+    given g through, on an array and on a scalar."""
+    fam = get_family(name)
+    for theta in (np.array(thetas), thetas[0]):
+        g, mu = fam._g_and_gprime(theta)
+        assert np.array_equal(g, fam._g(theta))
+        assert np.array_equal(mu, fam._gprime(theta))
+        g_given = fam._g(theta)
+        g2, mu2 = fam._g_and_gprime(theta, g_given)
+        assert g2 is g_given
+        assert np.array_equal(mu2, fam._gprime(theta))
+
+
 # ---------------------------------------------------------------- densities
 
 def test_bernoulli_log_pdf_values():

@@ -1,6 +1,7 @@
 """MAP fitting, fold-in prediction, and cross-validated hyperparameters."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from expfamproj import (ConfigError, ConjugateHyper, FactorState, LayoutError,
                         MapOptions, ObservationSet, PriorSpec, assemble_theta,
                         cv_select_hyperparams, fit_map, generate_coupled,
                         log_likelihood_theta, make_layout, predict_target)
-from expfamproj import map_infer, model
+from expfamproj import map_infer, model, prior
 from expfamproj.experiments import EplsVsSepcaConfig, _seed_int
 from expfamproj.map_infer import (FoldInError, _fold_masks, init_state,
                                   moment_matched_row, posterior_logp_and_grad)
@@ -142,6 +143,59 @@ def test_fit_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _traced_fit(monkeypatch):
+    """Fit a small two-view Poisson/Bernoulli model under counters.
+    Returns the CG evaluations and iterations and, for each Theta the
+    posterior formed, how many of those formed before it were still alive
+    when its forming began."""
+    lay = make_layout("epls", (3, 4), (1, 1), ("poisson", "bernoulli"),
+                      use_mean_row=True)
+    rng = make_rng(11, 11)
+    obs = dense_observations(lay, 0.5 * rng.standard_normal((10, 7)),
+                             seed=121)
+    spec = PriorSpec(beta=0.1, a_hyper=(ConjugateHyper(0.5, 1.0),
+                                        ConjugateHyper(0.2, 1.5)))
+    counts = {"evals": 0, "iters": 0}
+    refs, alive = [], []
+    assemble, cg = prior.assemble_theta, map_infer.minimize_cg
+
+    def tracked_theta(state, layout):
+        alive.append(sum(ref() is not None for ref in refs))
+        theta = assemble(state, layout)
+        refs.append(weakref.ref(theta))
+        return theta
+
+    def counted_cg(fun_and_grad, x0, grad_tol, max_iter):
+        def fun(x):
+            counts["evals"] += 1
+            return fun_and_grad(x)
+        res = cg(fun, x0, grad_tol, max_iter)
+        counts["iters"] += res.n_iter
+        return res
+
+    monkeypatch.setattr(prior, "assemble_theta", tracked_theta)
+    monkeypatch.setattr(map_infer, "minimize_cg", counted_cg)
+    fit_map(obs, lay, spec, MapOptions(restarts=2, seed=2, max_iter=40))
+    # the line searches rejected some trial points
+    assert counts["evals"] > counts["iters"] + 2
+    return counts, alive
+
+
+def test_fit_forms_theta_once_per_evaluation(monkeypatch):
+    """The gradient at an accepted point reuses the Theta (and g(Theta))
+    of the value call that scored it, so a fit forms one Theta per CG
+    evaluation, not one more per gradient."""
+    counts, alive = _traced_fit(monkeypatch)
+    assert len(alive) == counts["evals"]
+
+
+def test_scored_theta_is_freed_before_the_next_theta(monkeypatch):
+    """At most one scored point is held: every Theta formed earlier,
+    rejected trials' included, is freed before the next one is formed."""
+    counts, alive = _traced_fit(monkeypatch)
+    assert alive and not any(alive)
 
 
 def test_fit_map_is_deterministic():

@@ -1,5 +1,7 @@
 """Nonlinear conjugate gradient minimiser."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,28 @@ def test_every_accepted_step_satisfies_armijo():
                       grad_tol=1e-9)
     trace = np.asarray(res.trace)
     assert np.all(trace[1:] <= trace[:-1] + 1e-15)
+
+
+def test_no_gradient_thunk_outlives_its_evaluation():
+    """Every gradient thunk, a rejected trial's included, is dropped by
+    the time the objective is called again, so an objective whose thunk
+    keeps its point alive holds at most one point."""
+    class Point:
+        pass
+
+    refs, alive = [], []
+
+    def objective(x):
+        alive.append(sum(ref() is not None for ref in refs))
+        f, grad = rosenbrock(x)
+        point = Point()
+        refs.append(weakref.ref(point))
+        return f, lambda point=point: grad()
+
+    res = minimize_cg(objective, np.array([-1.2, 1.0]), grad_tol=1e-6,
+                      max_iter=200)
+    assert len(alive) > res.n_iter + 1     # some trials were rejected
+    assert not any(alive)
 
 
 def test_infeasible_start_raises():

@@ -6,7 +6,8 @@ import pytest
 from expfamproj import (ConjugateHyper, FactorState, ObservationSet,
                         PriorSpec, assemble_theta, get_family, log_density,
                         log_prior_unnorm, make_layout)
-from expfamproj.prior import gaussian_block_terms
+from expfamproj import prior
+from expfamproj.prior import PreparedDensity, gaussian_block_terms
 
 from conftest import central_diff_grad, make_rng
 
@@ -253,6 +254,111 @@ def test_prepared_kernel_gives_the_same_density(families, alpha, beta):
             for got, want in zip(prepared[1:], plain[1:]):
                 assert (got is None) == (want is None) == (not want_grad)
                 assert want is None or np.array_equal(got, want)
+
+
+def _reference_density(state, obs, lay, spec):
+    """log_density with its gradients computed from scratch: each view's
+    _g, _gprime and _h on its columns, the Gaussian blocks from the spec,
+    in log_density's order of operations."""
+    theta = state.u @ state.v
+    if lay.use_mean_row:
+        theta = theta + state.mean_row
+    vals, w = np.empty_like(theta), np.empty_like(theta)
+    for i, (fam, cols) in enumerate(zip(lay.families, lay.cols_view)):
+        t, x, m = theta[:, cols], obs.x[:, cols], obs.observed[:, cols]
+        h = fam._h(x)
+        xt = x * t + h if np.any(h) else x * t
+        g, mu = fam._g(t), fam._gprime(t)
+        val = np.where(m, xt - g, 0.0) * lay.alpha[i]
+        dval = np.where(m, x - mu, 0.0) * lay.alpha[i]
+        if spec.beta > 0:
+            hyp = spec.hyper_for_view(i)
+            val = val + spec.beta * (hyp.lam * t - hyp.nu * g)
+            dval = dval + spec.beta * (hyp.lam - hyp.nu * mu)
+        vals[:, cols], w[:, cols] = val, dval
+    logp = float(np.sum(vals))
+    gu, gv = w @ state.v.T, state.u.T @ w
+    gm = w.sum(axis=0) if lay.use_mean_row else None
+    if spec.gamma > 0:
+        free = ~lay.zero_mask
+        su, sv = spec.sigmas(lay)
+        blocks = 0.0
+        for n, ssq, s in (
+                (np.full(lay.k_total, state.u.shape[0]),
+                 np.sum(state.u * state.u, axis=0), su),
+                (free.sum(axis=1),
+                 np.sum(np.where(free, state.v, 0.0) ** 2, axis=1), sv)):
+            blocks += float(np.sum(-0.5 * n * (LOG_2PI + np.log(s))
+                                   - 0.5 * ssq / s))
+        logp += spec.gamma * blocks
+        gu = gu - spec.gamma * state.u / su
+        gv = gv - spec.gamma * state.v / sv[:, None]
+    gv[lay.zero_mask] = 0.0
+    return logp, gu, gv, gm
+
+
+def _assert_same_density(got, want):
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert (g is None) == (w is None)
+        assert w is None or np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("beta, gamma", [(0.0, None), (0.1, None),
+                                         (1.0, 0.0)])
+@pytest.mark.parametrize("kind, families, ranks", [
+    ("epls", ("poisson", "bernoulli"), (1, 2)),
+    ("sepca", ("gaussian", "exponential"), 2),
+])
+def test_prepared_density_matches_the_reference(kind, families, ranks, beta,
+                                                gamma, monkeypatch):
+    """A PreparedDensity scores value and gradients to the last bit as
+    the from-scratch reference and as unprepared log_density, and a
+    gradient asked at the point its value call just scored forms no new
+    Theta."""
+    lay = make_layout(kind, (3, 4), ranks, families, use_mean_row=True)
+    rng = make_rng(9, 11)
+    # the mean row keeps an exponential view's Theta negative
+    mean = np.where(np.arange(lay.d_total) < 3, 0.1, -2.0)
+    states = []
+    for _ in range(3):
+        v = 0.3 * rng.standard_normal((lay.k_total, lay.d_total))
+        v[lay.zero_mask] = 0.0
+        states.append(FactorState(0.3 * rng.standard_normal(
+            (5, lay.k_total)), v, mean))
+    theta = assemble_theta(states[0], lay)
+    x = np.empty_like(theta)
+    for fam, cols in zip(lay.families, lay.cols_view):
+        x[:, cols] = fam.sample(theta[:, cols], rng)
+    obs = ObservationSet(x, rng.random(x.shape) < 0.6, lay.view_widths,
+                         lay.families)
+    spec = PriorSpec(beta=beta, a_hyper=(ConjugateHyper(0.5, 1.0),
+                                         ConjugateHyper(0.2, 1.5)),
+                     sigma_u=0.8, sigma_v=(1.2, 0.7, 2.0)[:lay.k_total],
+                     gamma=gamma)
+    formed = []
+    assemble = prior.assemble_theta
+
+    def counted(state, layout):
+        formed.append(state)
+        return assemble(state, layout)
+
+    monkeypatch.setattr(prior, "assemble_theta", counted)
+    prepared = PreparedDensity(spec, lay, obs, 5)
+    for state in states:
+        want = _reference_density(state, obs, lay, spec)
+        assert np.isfinite(want[0])
+        del formed[:]
+        _assert_same_density(prepared(state, want_grad=False),
+                             (want[0], None, None, None))
+        _assert_same_density(prepared(state, want_grad=True), want)
+        assert len(formed) == 1
+        _assert_same_density(prepared(state, want_grad=True), want)
+        assert len(formed) == 2
+        for want_grad in (False, True):
+            _assert_same_density(
+                log_density(state, obs, lay, spec, want_grad),
+                want if want_grad else (want[0], None, None, None))
 
 
 # -------------------------------------------------------------------- spec
