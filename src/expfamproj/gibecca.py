@@ -31,7 +31,7 @@ from scipy import linalg
 
 from .chains import Chain, ChainOptions, ChainRecorder
 from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
-                    ObservationSet)
+                    ObservationSet, ShapeError)
 from .map_infer import _check_obs_layout, moment_matched_row
 from .prior import PriorSpec, factor_sums_of_squares
 
@@ -75,13 +75,11 @@ class StagePlan:
 
     widths repeats the per-view residual across its columns.  Each entry
     of views is (view index, its columns, its free V rows, the np.ix_
-    block of V they span).  free is ~zero_mask and n_free counts its
-    entries per V row.
+    block of V they span).  n_free counts the free entries of each V row.
     """
 
     widths: np.ndarray
     views: tuple
-    free: np.ndarray
     n_free: np.ndarray
 
 
@@ -95,9 +93,8 @@ def stage_plan(layout: BlockLayout) -> StagePlan:
         rows = np.r_[np.arange(layout.ranks[0]),
                      np.arange(k)[layout.rows_view[i]]]
         blocks.append((i, cols, rows, np.ix_(rows, np.arange(d)[cols])))
-    free = ~layout.zero_mask
     return StagePlan(np.asarray(layout.view_widths[:layout.n_views]),
-                     tuple(blocks), free, free.sum(axis=1))
+                     tuple(blocks), np.sum(~layout.zero_mask, axis=1))
 
 
 def _cholesky(prec, block):
@@ -155,7 +152,9 @@ def build_sigma(stage: GaussianStageState, layout: BlockLayout):
 def init_gaussian_stage(layout: BlockLayout, spec: PriorSpec, n_rows,
                         rng: np.random.Generator, resid_init=1.0,
                         fix_v=None) -> GaussianStageState:
-    """Fresh stage state with factors drawn at the prior scales."""
+    """Fresh stage state with factors drawn at the prior scales, or V
+    pinned to fix_v.  Raises ShapeError when fix_v is not K x D and
+    ValueError when its structural zeros are not exactly zero."""
     if spec.gamma > 0:
         su, sv = spec.sigmas(layout)
         var_u, var_v = su / spec.gamma, sv / spec.gamma
@@ -167,6 +166,11 @@ def init_gaussian_stage(layout: BlockLayout, spec: PriorSpec, n_rows,
     u = sd_u * rng.standard_normal((n_rows, layout.k_total))
     if fix_v is not None:
         v = np.asarray(fix_v, dtype=float).copy()
+        if v.shape != (layout.k_total, layout.d_total):
+            raise ShapeError(f"fix_v must be {layout.k_total} x "
+                             f"{layout.d_total}, got {v.shape}")
+        if np.any(v[layout.zero_mask] != 0.0):
+            raise ValueError("structural zeros of V are not exactly zero")
     else:
         v = sd_v[:, None] * rng.standard_normal((layout.k_total,
                                                  layout.d_total))
@@ -222,7 +226,7 @@ def gibbs_gaussian_stage(theta: np.ndarray, layout: BlockLayout,
             v[block] = _sample_mvn_rows(mean_v.T, chol_v, rng).T
 
     if infer_variances:
-        ssq_u, ssq_v = factor_sums_of_squares(u, v, plan.free)
+        ssq_u, ssq_v = factor_sums_of_squares(u, v)
         for j in np.flatnonzero(np.isfinite(var_u)):
             var_u[j] = _inv_gamma(rng, IG_SHAPE + 0.5 * n,
                                   IG_SCALE + 0.5 * ssq_u[j])

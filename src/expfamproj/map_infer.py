@@ -5,11 +5,12 @@ The MAP objective is the negative unnormalised log posterior
     f(U, V) = -[ log_likelihood(X; U V) + log a(UV)^beta b(U)^gamma c(V)^gamma ]
 
 minimised by conjugate gradients over the free coordinates (all of U, the
-unmasked entries of V, and the mean row when the layout has one).  The
-likelihood and the conjugate prior term come together from the model's
-EntryTerms, whose N x D value matrix is reduced by a single sum, so that a
-two-view layout with unit alpha produces bit-identical numbers to the
-equivalent single-view layout.
+unmasked entries of V, and the mean row when the layout has one), which
+FreeParams.objective hands to minimize_cg; FreeParams.log_density hands
+HMC the posterior itself.  The likelihood and the conjugate prior term
+come together from the model's EntryTerms, whose N x D value matrix is
+reduced by a single sum, so that a two-view layout with unit alpha
+produces bit-identical numbers to the equivalent single-view layout.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expfam import ConjugateHyper
+from .expfam import ConjugateHyper, DomainError
 from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
                     ObservationSet, assemble_theta, log_pdf_sum_at)
 from .optimize import (ARMIJO_C, ARMIJO_SHRINK, MAX_BACKTRACKS,
@@ -90,32 +91,40 @@ class FreeParams:
         return np.concatenate(parts)
 
     def log_density(self, obs: ObservationSet, spec: PriorSpec):
-        """x -> (log posterior, its packed gradient) over the free
-        coordinates; (-inf, None) at infeasible points.  Called with
-        want_grad=False, the second item is instead a zero-argument
-        function that gives the packed gradient at x, or None where it is
-        not finite.  One PreparedDensity, built here, serves every
-        evaluation; it holds the last value-only point, so that function,
-        called before the next evaluation, reuses that point's Theta and
-        g(Theta) and does only the gradient work."""
+        """HMC's target: x -> (log posterior, its packed gradient) over
+        the free coordinates, (-inf, None) at infeasible points.  One
+        PreparedDensity, built here, serves every evaluation."""
         kernel = PreparedDensity(spec, self.layout, obs, self.n_rows)
 
-        def fn(x, want_grad=True):
-            state = self.unpack(x)
+        def fn(x):
             logp, gu, gv, gm = posterior_logp_and_grad(
-                state, obs, self.layout, spec, want_grad, kernel=kernel)
+                self.unpack(x), obs, self.layout, spec, kernel=kernel)
             if not np.isfinite(logp):
                 return -np.inf, None
-            if want_grad:
-                return logp, self.pack_grad(gu, gv, gm)
-            return logp, functools.partial(self._gradient_at, state, obs,
-                                           spec, kernel)
+            return logp, self.pack_grad(gu, gv, gm)
         return fn
 
-    def _gradient_at(self, state, obs, spec, kernel):
+    def objective(self, obs: ObservationSet, spec: PriorSpec):
+        """minimize_cg's objective: x -> (negative log posterior, gradient
+        thunk), +inf where infeasible.  The thunk gives the negated packed
+        gradient, or None where it is not finite; called before the next
+        evaluation, it reuses this value call's Theta and g(Theta)."""
+        kernel = PreparedDensity(spec, self.layout, obs, self.n_rows)
+
+        def fun_and_grad(x):
+            state = self.unpack(x)
+            logp = posterior_logp_and_grad(state, obs, self.layout, spec,
+                                           False, kernel=kernel)[0]
+            # a bound method, not a closure over fun_and_grad, which would
+            # close a reference cycle that keeps the kernel and data alive
+            return -logp, functools.partial(self._negated_gradient, state,
+                                            obs, spec, kernel)
+        return fun_and_grad
+
+    def _negated_gradient(self, state, obs, spec, kernel):
         logp, gu, gv, gm = posterior_logp_and_grad(
             state, obs, self.layout, spec, True, kernel=kernel)
-        return self.pack_grad(gu, gv, gm) if np.isfinite(logp) else None
+        return -self.pack_grad(gu, gv, gm) if np.isfinite(logp) else None
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +134,9 @@ def posterior_logp_and_grad(state: FactorState, obs: ObservationSet,
                             layout: BlockLayout, spec: PriorSpec,
                             want_grad=True, *, kernel=None):
     """Unnormalised log posterior and its gradients wrt (U, V, mean_row):
-    prior.log_density of obs (with its optional prepared kernel), with
-    overflow warnings silenced.
+    prior.log_density of obs, with overflow warnings silenced.  kernel,
+    when given, is a PreparedDensity of (spec, layout, obs) that a fit or
+    chain builds once and that scores the state instead.
 
     Returns (logp, grad_u, grad_v, grad_mean); the gradients are None when
     logp is -inf (out-of-domain Theta with beta > 0) or want_grad is False.
@@ -134,28 +144,9 @@ def posterior_logp_and_grad(state: FactorState, obs: ObservationSet,
     and MH steps can treat them as rejections.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return log_density(state, obs, layout, spec, want_grad,
-                           kernel=kernel)
-
-
-def _objective(density):
-    """Negative log posterior for minimize_cg: x -> (value, gradient
-    thunk), the value +inf where infeasible.  Only the value is computed
-    here; the thunk forms the gradient, or None where it is not finite,
-    from the point this value call left in the density's prepared kernel."""
-    def fun_and_grad(x):
-        logp, grad = density(x, want_grad=False)
-        return -logp, functools.partial(_negated, grad)
-    return fun_and_grad
-
-
-def _negated(grad):
-    # a module function, not a closure over fun_and_grad: a thunk that
-    # referred back to its objective would close a reference cycle and
-    # keep each objective's kernel and data alive until the cyclic
-    # garbage collector ran
-    g = grad()
-    return None if g is None else -g
+        if kernel is None:
+            return log_density(state, obs, layout, spec, want_grad)
+        return kernel(state, want_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +230,7 @@ def fit_map(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
         rng = np.random.default_rng(np.random.SeedSequence([opts.seed, r]))
         state0 = init_state(obs, layout, rng)
         free = FreeParams(layout, state0)
-        fun = _objective(free.log_density(obs, spec))
+        fun = free.objective(obs, spec)
         try:
             res = minimize_cg(fun, free.pack(state0), grad_tol, opts.max_iter)
         except ValueError:
@@ -421,7 +412,8 @@ def _fold_masks(observed: np.ndarray, folds: int, rng: np.random.Generator):
 
 
 def _cv_score(obs, layout, spec, fold_masks, opts):
-    """Summed held-out log-likelihood over CV folds for one candidate spec."""
+    """Summed held-out log-likelihood over CV folds for one candidate spec;
+    -inf when a fold's fit fails or leaves Theta outside the domain."""
     total = 0.0
     for fold in fold_masks:
         train = obs.with_mask(obs.observed & ~fold)
@@ -432,7 +424,7 @@ def _cv_score(obs, layout, spec, fold_masks, opts):
         theta = assemble_theta(fit.state, layout)
         try:
             total += log_pdf_sum_at(obs, theta, layout, fold)
-        except Exception:
+        except DomainError:
             return -np.inf
     return total
 

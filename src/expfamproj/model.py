@@ -163,10 +163,6 @@ class FactorState:
     v: np.ndarray
     mean_row: np.ndarray = None
 
-    @property
-    def n_rows(self):
-        return self.u.shape[0]
-
     def copy(self):
         return FactorState(
             self.u.copy(), self.v.copy(),
@@ -245,10 +241,6 @@ class ObservationSet:
     @property
     def n_rows(self):
         return self.x.shape[0]
-
-    @property
-    def n_cols(self):
-        return self.x.shape[1]
 
     def view_cols(self, i):
         d1, d2 = self.view_widths

@@ -11,11 +11,11 @@ The objective returns its value and a zero-argument function that gives
 the gradient at the same point.  The gradient is formed only at the
 starting point and at the points a line search accepts, right after
 their value and before any other evaluation, so a thunk may reuse what
-its value call computed (the MAP objective's reuses Theta and g(Theta));
-a trial step that is rejected costs one value, and its thunk is dropped
-before the next trial is scored, so at most one scored point is held.
-A gradient of None (not finite) rejects the step as an infinite value
-would.
+its value call computed (map_infer's FreeParams.objective reuses Theta
+and g(Theta)); a trial step that is rejected costs one value, and its
+thunk is dropped before the next trial is scored, so at most one scored
+point is held.  A gradient of None (not finite) rejects the step as an
+infinite value would.
 """
 
 from __future__ import annotations

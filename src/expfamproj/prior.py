@@ -19,7 +19,7 @@ g evaluation) is skipped entirely.
 log_density scores the posterior, likelihood times prior, with its
 gradients; the prior is the same density without data (obs None).  A
 PreparedDensity is log_density built once for a caller that scores many
-states: fits and chains pass it as log_density's kernel.
+states: fits and chains call it in log_density's place.
 """
 
 from __future__ import annotations
@@ -103,23 +103,22 @@ class PriorSpec:
                           [self.hyper_for_view(i) for i in idx])
 
 
-def factor_sums_of_squares(u, v, free):
-    """Per-component sums of squares of U's columns and of V's free
-    row entries (free is True where V is not pinned to zero)."""
-    return (np.sum(u * u, axis=0),
-            np.sum(np.where(free, v, 0.0) ** 2, axis=1))
+def factor_sums_of_squares(u, v):
+    """Per-component sums of squares of U's columns and of V's rows, whose
+    structural zeros are exactly zero and add nothing."""
+    return np.sum(u * u, axis=0), np.sum(v * v, axis=1)
 
 
 class GaussianBlocks:
     """The Gaussian blocks b(U) and c(V) for one spec, layout and row count
-    N, with what a fit holds fixed computed once: the free mask of V, the
-    variance vectors (sigma_u, sigma_v) and the per-component normalisers
-    -n/2 log(2 pi s), n the component's number of free entries."""
+    N, with what a fit holds fixed computed once: the variance vectors
+    (sigma_u, sigma_v) and the per-component normalisers -n/2 log(2 pi s),
+    n the component's number of free entries."""
 
     def __init__(self, spec: PriorSpec, layout: BlockLayout, n_rows):
-        self.free = ~layout.zero_mask
         self.sigmas = spec.sigmas(layout)
-        n_terms = (np.full(layout.k_total, n_rows), self.free.sum(axis=1))
+        n_terms = (np.full(layout.k_total, n_rows),
+                   np.sum(~layout.zero_mask, axis=1))
         self.norms = tuple(-0.5 * n * (LOG_2PI + np.log(s))
                            for n, s in zip(n_terms, self.sigmas))
 
@@ -128,13 +127,14 @@ class GaussianBlocks:
         # per block, sum over components of  -n/2 log(2 pi s) - ssq / (2 s)
         return tuple(float(np.sum(norm - 0.5 * ssq / s))
                      for ssq, norm, s in zip(
-                         factor_sums_of_squares(u, v, self.free),
+                         factor_sums_of_squares(u, v),
                          self.norms, self.sigmas))
 
 
 def gaussian_block_terms(state: FactorState, spec: PriorSpec,
                          layout: BlockLayout):
-    """(log b(U), log c(V)) with full normalising constants."""
+    """(log b(U), log c(V)) with full normalising constants, for a state
+    whose structural zeros of V are exactly zero."""
     return GaussianBlocks(spec, layout, state.u.shape[0]).terms(state.u,
                                                                 state.v)
 
@@ -142,8 +142,7 @@ def gaussian_block_terms(state: FactorState, spec: PriorSpec,
 class PreparedDensity:
     """log_density of one (spec, layout, obs) for states with n_rows rows,
     prepared once for a caller that scores many states: the entrywise
-    kernel (kernel, when given, is spec.entry_terms(layout, obs) built by
-    the caller) and the Gaussian blocks' constants.
+    kernel and the Gaussian blocks' constants.
 
     A value-only evaluation keeps its point (the state, Theta, each view's
     g(Theta) and the value) until the next evaluation starts, so that a
@@ -151,12 +150,10 @@ class PreparedDensity:
     only the gradient work.  At most one point is held.
     """
 
-    def __init__(self, spec: PriorSpec, layout: BlockLayout, obs, n_rows,
-                 kernel: EntryTerms = None):
+    def __init__(self, spec: PriorSpec, layout: BlockLayout, obs, n_rows):
         self.layout = layout
         self.gamma = spec.gamma
-        self.kernel = (spec.entry_terms(layout, obs) if kernel is None
-                       else kernel)
+        self.kernel = spec.entry_terms(layout, obs)
         self.blocks = (GaussianBlocks(spec, layout, n_rows)
                        if spec.gamma > 0 else None)
         self._point = None
@@ -202,20 +199,19 @@ class PreparedDensity:
 
 
 def log_density(state: FactorState, obs, layout: BlockLayout,
-                spec: PriorSpec, want_grad=True, *, kernel=None):
+                spec: PriorSpec, want_grad=True):
     """Log-likelihood of obs plus log a(UV)^beta b(U)^gamma c(V)^gamma,
     with its gradients wrt (U, V, mean_row); the log prior when obs is None.
 
-    kernel, when given, is a PreparedDensity of (spec, layout, obs), or
-    spec.entry_terms(layout, obs), built once by a caller that scores the
-    same data many times; the result is the same.
-    Returns (logp, grad_u, grad_v, grad_mean), with None for gradients not
-    asked for or absent (no mean row) and exact zeros on masked V entries;
-    (-inf, None, None, None) out of the domain or where anything overflows.
+    state's V must be exactly zero on the layout's structural zeros; c(V)
+    squares V as it is.  Returns (logp, grad_u, grad_v, grad_mean), with
+    None for gradients not asked for or absent (no mean row) and exact
+    zeros on masked V entries; (-inf, None, None, None) out of the domain
+    or where anything overflows.  A caller that scores the same data many
+    times builds one PreparedDensity and calls it instead.
     """
-    if not isinstance(kernel, PreparedDensity):
-        kernel = PreparedDensity(spec, layout, obs, state.u.shape[0], kernel)
-    return kernel(state, want_grad)
+    density = PreparedDensity(spec, layout, obs, state.u.shape[0])
+    return density(state, want_grad)
 
 
 def log_prior_unnorm(state: FactorState, spec: PriorSpec,

@@ -9,6 +9,7 @@ letting the traced run break silently.
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import sys
 
@@ -119,3 +120,46 @@ def test_traced_gibecca_counts_sweeps_and_stored_samples():
     assert m["gibecca.mh_accept_elements.entries"] == sweeps * x.size
     calls = tracer.span_table(tr)["model.log_likelihood_theta"][0]
     assert calls == opts.n_samples
+
+
+def _has_span_below(tr, name, root="cli.main"):
+    """Whether some span called name has a span called root above it."""
+    spans = tr.spans
+    for span in spans:
+        parent = span[3] if span[0] == name else -1
+        while parent >= 0:
+            if spans[parent][0] == root:
+                return True
+            parent = spans[parent][3]
+    return False
+
+
+TINY_SHAPE = {"model": "ecca", "view_widths": [3, 2], "ranks": [1, 1, 1],
+              "families": "poisson"}
+
+
+@pytest.mark.parametrize("command, extra, names", [
+    ("impute", {"engine": "map", "options": {"max_iter": 5},
+                "holdout": {"fraction": 0.2, "seed": 0}},
+     ("map_infer.fit_map", "map_infer.posterior_logp_and_grad",
+      "evaluation.heldout_loglik")),
+    ("fit", {"engine": "gibecca", "options": {"n_samples": 2, "burn_in": 1}},
+     ("gibecca.run_gibecca",)),
+])
+def test_traced_cli_calls_reach_the_engines(tmp_path, command, extra, names):
+    """The tracer rebinds module names, so an engine that the command line
+    reached through a table built at import time would drop its spans
+    silently; a traced command records its engine's spans below
+    cli.main."""
+    cli = importlib.import_module(f"{tracer.PACKAGE}.cli")
+    config = dict(extra, layout=TINY_SHAPE,
+                  data={"synthetic": dict(TINY_SHAPE, n_rows=10, seed=2)},
+                  prior={"beta": 0.1, "a_hyper": [0.5, 1.0]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with tracer.Tracer().installed() as tr:
+        code = cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+    assert code == 0
+    for name in names:
+        assert _has_span_below(tr, name), name

@@ -6,9 +6,10 @@ from scipy import linalg, special
 
 from expfamproj import gibecca
 from expfamproj import (ConfigError, ConjugateHyper, GibeccaOptions,
-                        LayoutError, ObservationSet, PriorSpec,
-                        gibbs_gaussian_stage, make_layout,
-                        mh_accept_elements, propose_theta_rows, run_gibecca)
+                        HmcOptions, LayoutError, ObservationSet, PriorSpec,
+                        ShapeError, gibbs_gaussian_stage, make_layout,
+                        mh_accept_elements, propose_theta_rows, run_gibecca,
+                        run_hmc_chain)
 from expfamproj.gibecca import (JITTER_REL, StageError, build_sigma,
                                 init_gaussian_stage, init_theta)
 
@@ -191,6 +192,29 @@ def test_gibbs_stage_rejects_non_finite_factors():
     with pytest.raises(StageError):
         run_gibecca(obs, lay, spec, GibeccaOptions(n_samples=2, burn_in=1,
                                                    fix_v=v))
+
+
+@pytest.mark.parametrize("runner, options", [(run_gibecca, GibeccaOptions),
+                                             (run_hmc_chain, HmcOptions)])
+def test_pinned_v_is_checked_where_it_enters(runner, options):
+    """A pinned V whose structural zeros are not exactly zero raises
+    ValueError, and one of the wrong shape raises ShapeError, in the
+    alternating sampler as in HMC; a valid pin runs and is kept."""
+    lay = make_layout("ecca", (2, 3), (1, 1, 1), ("gaussian", "gaussian"))
+    spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.0, 1.0))
+    rng = make_rng(15, 34)
+    obs = dense_observations(lay, rng.standard_normal((4, 5)), seed=134)
+    v = rng.standard_normal((lay.k_total, lay.d_total))
+    v[lay.zero_mask] = 0.0
+    chain = runner(obs, lay, spec, options(n_samples=2, burn_in=1, fix_v=v))
+    assert all(np.array_equal(s.v, v) for s in chain.states)
+    nonzero = v.copy()
+    nonzero[lay.zero_mask] = 0.5
+    with pytest.raises(ValueError, match="structural zeros"):
+        runner(obs, lay, spec, options(n_samples=2, burn_in=1,
+                                       fix_v=nonzero))
+    with pytest.raises(ShapeError):
+        runner(obs, lay, spec, options(n_samples=2, burn_in=1, fix_v=v[:2]))
 
 
 # The Gaussian stage as it was written with scipy's checked wrappers; the

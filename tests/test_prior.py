@@ -223,8 +223,9 @@ def test_posterior_without_data_is_the_prior(beta):
     (("gaussian", "exponential"), (1.0, 2.5)),
 ])
 def test_prepared_kernel_gives_the_same_density(families, alpha, beta):
-    """A kernel built once and reused scores value and gradients to the
-    last bit as a kernel built on every call, and is left unchanged."""
+    """A PreparedDensity built once and reused across states scores value
+    and gradients to the last bit as log_density building its own on
+    every call, at alpha != 1."""
     lay = make_layout("sepca", (3, 4), 2, families, alpha=alpha,
                       use_mean_row=True)
     rng = make_rng(9, 10)
@@ -243,12 +244,11 @@ def test_prepared_kernel_gives_the_same_density(families, alpha, beta):
     spec = PriorSpec(beta=beta, a_hyper=(ConjugateHyper(0.5, 1.0),
                                          ConjugateHyper(0.2, 1.5)),
                      sigma_u=0.8, sigma_v=1.2)
-    kernel = spec.entry_terms(lay, obs)
+    density = PreparedDensity(spec, lay, obs, 5)
     for state in states:
         for want_grad in (True, False):
             plain = log_density(state, obs, lay, spec, want_grad)
-            prepared = log_density(state, obs, lay, spec, want_grad,
-                                   kernel=kernel)
+            prepared = density(state, want_grad)
             assert np.isfinite(plain[0])
             assert prepared[0] == plain[0]
             for got, want in zip(prepared[1:], plain[1:]):

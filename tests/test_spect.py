@@ -168,6 +168,7 @@ def test_holdout_rejects_unobservable_rows_and_columns():
     no_row = obs.with_mask(obs.observed & (np.arange(obs.n_rows) != 4)[:, None])
     with pytest.raises(MaskError, match="row"):
         make_holdout(no_row, frac=0.2)
-    no_col = obs.with_mask(obs.observed & (np.arange(obs.n_cols) != 3)[None, :])
+    no_col = obs.with_mask(obs.observed
+                           & (np.arange(obs.x.shape[1]) != 3)[None, :])
     with pytest.raises(MaskError, match="column"):
         make_holdout(no_col, frac=0.2)
