@@ -4,11 +4,12 @@
     python3 scripts/same_outputs.py PARENT_ROOT CHANGE_ROOT [--work DIR]
 
 Runs the first two cases at seed 0 of every workload in
-perfbench/workloads.py (one case where a workload has only one) through
+perfbench/workloads.py (one case where a workload has only one), and one
+reduced beta-sweep, the recipe no workload runs, through
 ``expfamproj.cli.main``, once per checkout, each in a fresh subprocess with
 BLAS and OpenMP pinned to one thread.  The case configs come from this
-script's own perfbench/, which is imported and never written, so both
-checkouts run the same configs against their own src/.
+script and its own perfbench/, which is imported and never written, so
+both checkouts run the same configs against their own src/.
 
 The two output trees are then compared file by file.  Only wall-clock
 values are ignored: ``wall_clock`` in chain manifests, the value of the
@@ -36,33 +37,45 @@ CASES_PER_WORKLOAD = 2
 SEED = 0
 WALL_CLOCK_KEYS = frozenset({"wall_clock", "mean_seconds", "gibecca_faster"})
 WALL_CLOCK_METRICS = frozenset({"uncorrelated_seconds"})
+# the beta-sweep recipe at reduced overrides, on the built-in SPECT stand-in
+BETA_SWEEP = {"recipe": "beta-sweep",
+              "overrides": {"n_points": 5, "restarts": 2, "cv_folds": 3,
+                            "cv_max_iter": 60, "max_iter": 150,
+                            "seed": SEED}}
+
+
+def _cases():
+    """(name, case, command, config) for every case to run."""
+    from workloads import WORKLOADS, case_seed
+
+    for name, workload in WORKLOADS.items():
+        for case in range(min(CASES_PER_WORKLOAD, workload.cases)):
+            yield (name, case, workload.command,
+                   workload.config(case_seed(SEED, case)))
+    yield "beta-sweep", 0, "experiment", BETA_SWEEP
 
 
 def run_cases(root, out):
-    """Run every case against root/src, writing out/<workload>/case<j>/.
+    """Run every case against root/src, writing out/<name>/case<j>/.
 
     Called in the subprocess; returns the number of failed calls.
     """
     sys.path[:0] = [os.path.join(root, "src"), os.path.abspath(PERFBENCH)]
     from expfamproj import cli
-    from workloads import WORKLOADS, case_seed
 
     failed = 0
-    for name, workload in WORKLOADS.items():
-        for case in range(min(CASES_PER_WORKLOAD, workload.cases)):
-            case_dir = os.path.join(out, name, f"case{case}")
-            config = os.path.join(f"{out}-configs",
-                                  f"{name}-case{case}.json")
-            os.makedirs(os.path.dirname(config), exist_ok=True)
-            with open(config, "w") as fh:
-                json.dump(workload.config(case_seed(SEED, case)), fh,
-                          indent=1)
-            code = cli.main([workload.command, "--config", config,
-                             "--out", case_dir, "--jobs", "1"])
-            if code != 0:
-                print(f"{root}: {name} case {case} exited {code}",
-                      file=sys.stderr)
-                failed += 1
+    for name, case, command, payload in _cases():
+        case_dir = os.path.join(out, name, f"case{case}")
+        config = os.path.join(f"{out}-configs", f"{name}-case{case}.json")
+        os.makedirs(os.path.dirname(config), exist_ok=True)
+        with open(config, "w") as fh:
+            json.dump(payload, fh, indent=1)
+        code = cli.main([command, "--config", config,
+                         "--out", case_dir, "--jobs", "1"])
+        if code != 0:
+            print(f"{root}: {name} case {case} exited {code}",
+                  file=sys.stderr)
+            failed += 1
     return failed
 
 

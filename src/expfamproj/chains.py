@@ -193,6 +193,7 @@ def save_chain(chain: Chain, dirpath, layout: BlockLayout):
     has_hyper = chain.hypers is not None
     has_theta = chain.thetas is not None
     first = chain.states[0] if chain.n_samples else None
+    first_hyper = chain.hypers[0] if chain.hypers else None
     manifest = {
         "format": FORMAT_VERSION,
         "n_samples": chain.n_samples,
@@ -203,8 +204,8 @@ def save_chain(chain: Chain, dirpath, layout: BlockLayout):
         "has_mean": first is not None and first.mean_row is not None,
         "has_hyper": has_hyper,
         "has_theta": has_theta,
-        "beta": None if not has_hyper else chain.hypers[0].beta,
-        "gamma": None if not has_hyper else chain.hypers[0].gamma,
+        "beta": None if first_hyper is None else first_hyper.beta,
+        "gamma": None if first_hyper is None else first_hyper.gamma,
         "wall_clock": [float(t) for t in chain.wall_clock],
         "loglik": [float(v) for v in chain.loglik],
         "stats": chain.stats,

@@ -68,6 +68,11 @@ def _wrap(path, fn, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _cast(d, key, path, cast, default=_MISSING):
+    """d[key] (or default) through cast; a failure names path.key."""
+    return _wrap(f"{path}.{key}", cast, _get(d, key, path, default))
+
+
 def build_layout(d, path="layout"):
     d = _as_dict(d, path)
     _no_unknown(d, {"model", "view_widths", "ranks", "families", "alpha",
@@ -137,7 +142,7 @@ def build_options(engine, d, path="options", seed=None):
         raise ConfigError(f"{path}.exchange: only the hmc engine takes "
                           "exchange options")
     if seed is not None:
-        kwargs["seed"] = int(seed)
+        kwargs["seed"] = _wrap("seed", int, seed)
     return _wrap(path, cls, **kwargs)
 
 
@@ -146,10 +151,14 @@ def load_data(d, spect_path=None, path="data"):
 
     Three sources: {"csv": ..., "descriptor": ...} for files, "spect" for
     the binary benchmark (honouring --spect), or {"synthetic": {...}} for
-    a seeded draw from a low-rank model.
+    a seeded draw from a low-rank model.  A notice (the spect fallback)
+    is printed to stderr here.
     """
     if d == "spect":
-        return load_or_fallback(spect_path)
+        obs, notice = load_or_fallback(spect_path)
+        if notice:
+            print(notice, file=sys.stderr)
+        return obs, notice
     d = _as_dict(d, path)
     if "csv" in d:
         _no_unknown(d, {"csv", "descriptor"}, path)
@@ -157,19 +166,19 @@ def load_data(d, spect_path=None, path="data"):
                      _get(d, "descriptor", path)), None
     if "synthetic" in d:
         _no_unknown(d, {"synthetic"}, path)
-        s = _as_dict(d["synthetic"], f"{path}.synthetic")
+        sub = f"{path}.synthetic"
+        s = _as_dict(d["synthetic"], sub)
         _no_unknown(s, {"model", "view_widths", "ranks", "families", "alpha",
                         "n_rows", "latent_scale", "target_scale", "seed"},
-                    f"{path}.synthetic")
+                    sub)
         layout = build_layout(
             {k: s[k] for k in ("model", "view_widths", "ranks", "families",
                                "alpha") if k in s},
-            path=f"{path}.synthetic")
-        data = _wrap(f"{path}.synthetic", generate_coupled, layout,
-                     _get(s, "n_rows", f"{path}.synthetic"),
-                     seed=int(s.get("seed", 0)),
-                     latent_scale=float(s.get("latent_scale", 1.0)),
-                     target_scale=float(s.get("target_scale", 1.0)))
+            path=sub)
+        data = _wrap(sub, generate_coupled, layout, _get(s, "n_rows", sub),
+                     seed=_cast(s, "seed", sub, int, 0),
+                     latent_scale=_cast(s, "latent_scale", sub, float, 1.0),
+                     target_scale=_cast(s, "target_scale", sub, float, 1.0))
         return data.train, None
     raise ConfigError(f"{path}: expected 'spect', a csv/descriptor pair, "
                       "or a synthetic block")
@@ -205,8 +214,6 @@ def cmd_fit(cfg, args):
     seed = args.seed if args.seed is not None else cfg.get("seed")
     opts = build_options(engine, cfg.get("options"), seed=seed)
     obs, notice = load_data(_get(cfg, "data", "config"), args.spect)
-    if notice:
-        print(notice, file=sys.stderr)
 
     os.makedirs(args.out, exist_ok=True)
     summary = {"engine": engine, "seed": getattr(opts, "seed", None)}
@@ -239,9 +246,7 @@ def cmd_experiment(cfg, args):
                                     seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     if name == "beta-sweep":
-        obs, notice = load_or_fallback(args.spect)
-        if notice:
-            print(notice, file=sys.stderr)
+        obs, notice = load_data("spect", args.spect)
         result = run_beta_sweep(recipe_cfg, obs, jobs=args.jobs,
                                 notice=notice)
     else:
@@ -270,11 +275,9 @@ def cmd_impute(cfg, args):
     hold = _as_dict(_get(cfg, "holdout", "config"), "holdout")
     _no_unknown(hold, {"fraction", "seed"}, "holdout")
     obs, notice = load_data(_get(cfg, "data", "config"), args.spect)
-    if notice:
-        print(notice, file=sys.stderr)
 
-    train, held = make_holdout(obs, float(_get(hold, "fraction", "holdout")),
-                               seed=int(hold.get("seed", 0)))
+    train, held = make_holdout(obs, _cast(hold, "fraction", "holdout", float),
+                               seed=_cast(hold, "seed", "holdout", int, 0))
     if engine == "map":
         fit = fit_map(train, layout, spec, opts)
         thetas = [assemble_theta(fit.state, layout)]

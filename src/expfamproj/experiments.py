@@ -212,13 +212,11 @@ class BetaSweepConfig:
 
 
 def _beta_point(args):
-    (cfg, idx, beta, restart, train_obs, held, layout_args, spec_args) = args
+    cfg, idx, beta, restart, train_obs, held, layout, base = args
     name = "beta-sweep"
-    layout = make_layout(*layout_args)
     try:
-        spec = PriorSpec(beta=float(beta),
-                         a_hyper=ConjugateHyper(*spec_args[0]),
-                         sigma_u=spec_args[1], sigma_v=spec_args[2])
+        # gamma=None: the point's gamma is 1 - beta, not base's
+        spec = base.replace(beta=float(beta), gamma=None)
         fit = fit_map(train_obs, layout, spec,
                       MapOptions(max_iter=cfg.max_iter, restarts=1,
                                  seed=_seed_int(cfg.seed, 41, idx, restart)))
@@ -236,18 +234,14 @@ def run_beta_sweep(cfg: BetaSweepConfig, obs: ObservationSet,
     train_obs, held = make_holdout(obs, cfg.holdout_fraction,
                                    seed=_seed_int(cfg.seed, 31))
     fam = train_obs.families[0].name
-    layout_args = ("epca", (train_obs.x.shape[1], 0), cfg.k, fam)
-    layout = make_layout(*layout_args)
+    layout = make_layout("epca", (train_obs.x.shape[1], 0), cfg.k, fam)
     base = cv_select_hyperparams(train_obs, layout, beta=0.5,
                                  folds=cfg.cv_folds,
                                  seed=_seed_int(cfg.seed, 37),
                                  opts=MapOptions(max_iter=cfg.cv_max_iter))
-    spec_args = ((base.a_hyper[0].lam, base.a_hyper[0].nu),
-                 float(np.asarray(base.sigma_u).ravel()[0]),
-                 float(np.asarray(base.sigma_v).ravel()[0]))
 
     betas = np.linspace(0.0, 1.0, cfg.n_points)
-    args = [(cfg, i, beta, r, train_obs, held, layout_args, spec_args)
+    args = [(cfg, i, beta, r, train_obs, held, layout, base)
             for i, beta in enumerate(betas) for r in range(cfg.restarts)]
     rows = [r for chunk in _pool_map(_beta_point, args, jobs)
             for r in chunk]
@@ -264,8 +258,8 @@ def run_beta_sweep(cfg: BetaSweepConfig, obs: ObservationSet,
                              "best": float(np.max(vals)),
                              "n": len(vals)})
     summary = {"experiment": "beta-sweep", "selected_prior": {
-                   "lam": spec_args[0][0], "nu": spec_args[0][1],
-                   "sigma_u": spec_args[1], "sigma_v": spec_args[2]},
+                   "lam": base.a_hyper[0].lam, "nu": base.a_hyper[0].nu,
+                   "sigma_u": base.sigma_u, "sigma_v": base.sigma_v},
                "holdout_entries": int(held.sum()), "per_beta": per_beta}
     if notice:
         summary["data_notice"] = notice

@@ -7,8 +7,9 @@ Each family is the one-dimensional density
 where g is the log-cumulant (log-partition) function and h the log base
 measure.  Everything downstream works with theta directly, never with the
 mean parametrisation, so the only things a family has to provide are g,
-its first two derivatives (the mean and the variance), h, the domain of
-theta, the support of x, a sampler, and the conjugate-prior kernel
+its first two derivatives (the mean and the variance) and a sampler; h,
+the domain of theta and the support of x default to 0, every finite
+theta and every finite x.  Family derives the conjugate-prior kernel
 
     log k(theta; lam, nu) = lam * theta - nu * g(theta),
 
@@ -66,12 +67,14 @@ class Family:
     # domain / support ----------------------------------------------------
 
     def in_domain(self, theta):
-        """Elementwise check that theta is a valid natural parameter."""
-        raise NotImplementedError
+        """Elementwise check that theta is a valid natural parameter: any
+        finite value here."""
+        return np.isfinite(theta)
 
     def in_support(self, x):
-        """Elementwise check that x is a possible observation."""
-        raise NotImplementedError
+        """Elementwise check that x is a possible observation: any finite
+        value here."""
+        return np.isfinite(x)
 
     def _require_domain(self, theta):
         ok = self.in_domain(theta)
@@ -158,7 +161,8 @@ class Family:
         raise NotImplementedError
 
     def _h(self, x):
-        raise NotImplementedError
+        """h(x), zero here (a unit base measure)."""
+        return np.zeros_like(np.asarray(x, dtype=float))
 
     def _sample(self, theta, rng):
         raise NotImplementedError
@@ -176,9 +180,6 @@ class BernoulliLogit(Family):
 
     name = "bernoulli"
 
-    def in_domain(self, theta):
-        return np.isfinite(theta)
-
     def in_support(self, x):
         x = np.asarray(x)
         return (x == 0) | (x == 1)
@@ -193,9 +194,6 @@ class BernoulliLogit(Family):
     def _gsecond(self, theta):
         # sigma(theta) (1 - sigma(theta)), without cancellation in 1 - sigma
         return special.expit(theta) * special.expit(-np.asarray(theta))
-
-    def _h(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def _sample(self, theta, rng):
         p = special.expit(theta)
@@ -225,9 +223,6 @@ class PoissonLog(Family):
     """x in {0, 1, 2, ...}, theta the log-rate, g(theta) = e^theta."""
 
     name = "poisson"
-
-    def in_domain(self, theta):
-        return np.isfinite(theta)
 
     def in_support(self, x):
         x = np.asarray(x)
@@ -270,12 +265,6 @@ class GaussianUnitVariance(Family):
     """x real with unit variance, theta the mean, g(theta) = theta^2 / 2."""
 
     name = "gaussian"
-
-    def in_domain(self, theta):
-        return np.isfinite(theta)
-
-    def in_support(self, x):
-        return np.isfinite(x)
 
     def _g(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -324,9 +313,6 @@ class ExponentialRate(Family):
     def _gsecond(self, theta):
         theta = np.asarray(theta, dtype=float)
         return 1.0 / (theta * theta)
-
-    def _h(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def _sample(self, theta, rng):
         scale = -1.0 / np.asarray(theta, dtype=float)

@@ -45,7 +45,6 @@ class ExchangeOptions:
 class HmcOptions(ChainOptions):
     step_size: float = 0.05
     n_leapfrog: int = 20
-    adapt: bool = True
     infer_hyper: bool = False
     fix_v: np.ndarray = None          # pin V (excluded from sampling)
     initial_state: FactorState = None
@@ -322,11 +321,10 @@ def run_hmc_chain(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
         n_divergent += divergent
         if in_burn:
             n_acc_burn += accepted
-            if opts.adapt:
-                if accepted:
-                    step_size *= np.exp(ADAPT_RATE * (1.0 - TARGET_ACCEPT))
-                else:
-                    step_size *= np.exp(-ADAPT_RATE * TARGET_ACCEPT)
+            if accepted:
+                step_size *= np.exp(ADAPT_RATE * (1.0 - TARGET_ACCEPT))
+            else:
+                step_size *= np.exp(-ADAPT_RATE * TARGET_ACCEPT)
         else:
             n_acc_sample += accepted
 

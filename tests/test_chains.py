@@ -131,6 +131,18 @@ def test_empty_chain_round_trip(tmp_path):
     assert back.n_samples == 0
 
 
+def test_hyper_chain_without_samples_round_trip(tmp_path):
+    """An infer_hyper HMC chain with n_samples 0 keeps an empty hyper
+    trace; saving it used to read the first hyper for beta and gamma."""
+    lay, obs, spec = _ecca_problem()
+    chain = _run_hmc(obs, lay, spec, n_samples=0, burn_in=3, seed=1)
+    assert chain.hypers == []
+    save_chain(chain, tmp_path / "h", lay)
+    back = load_chain(tmp_path / "h")
+    assert back.n_samples == 0 and back.hypers == []
+    assert back.stats == chain.stats
+
+
 def test_load_chain_rejects_unknown_format(tmp_path):
     lay = make_layout("epca", 2, 1, "gaussian")
     save_chain(Chain([], np.array([]), np.array([])), tmp_path / "f", lay)

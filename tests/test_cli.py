@@ -265,6 +265,7 @@ def test_config_problems_exit_2(tmp_path, capsys, mutate):
      "options.exchange.inner_sweeps"),
     ("map", {"init_std": 0.01}, "options.init_std"),
     ("hmc", {"init_std": 0.01}, "options.init_std"),
+    ("hmc", {"adapt": False}, "options.adapt"),
 ])
 def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
                                            value, field):
@@ -278,6 +279,38 @@ def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
         cfg.update(engine=section, options=value)
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, value, field", [
+    ("fit", "config", {"seed": "abc"}, "seed"),
+    ("impute", "config", {"seed": [3]}, "seed"),
+    ("fit", "synthetic", {"seed": "x"}, "data.synthetic.seed"),
+    ("fit", "synthetic", {"latent_scale": "big"},
+     "data.synthetic.latent_scale"),
+    ("fit", "synthetic", {"target_scale": None},
+     "data.synthetic.target_scale"),
+    ("impute", "holdout", {"fraction": "abc"}, "holdout.fraction"),
+    ("impute", "holdout", {"seed": "x"}, "holdout.seed"),
+])
+def test_mistyped_scalar_names_its_field(tmp_path, capsys, command, section,
+                                         value, field):
+    """These scalars used to be cast outside the field checks, so a
+    mistyped one exited 3 as a numeric failure that named no field."""
+    cfg = _valid_fit_config(tmp_path)
+    if command == "impute":
+        cfg["holdout"] = {"fraction": 0.2, "seed": 1}
+    if section == "config":
+        cfg.update(value)
+    elif section == "synthetic":
+        cfg["data"] = {"synthetic": dict(
+            model="epca", view_widths=5, ranks=2, families="bernoulli",
+            n_rows=10, **value)}
+    else:
+        cfg["holdout"].update(value)
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
 
 
@@ -316,7 +349,7 @@ def test_broken_chain_exits_3(tmp_path, capsys):
     cfg = _valid_fit_config(tmp_path)
     cfg["engine"] = "hmc"
     cfg["options"] = {"n_samples": 20, "burn_in": 30,
-                      "step_size": 1e6, "adapt": False}
+                      "step_size": 1e6}
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == 3
     assert "numeric failure: ChainError" in capsys.readouterr().err

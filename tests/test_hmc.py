@@ -313,7 +313,7 @@ def test_chain_error_on_oversized_step():
     spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.0, 1.0))
     with pytest.raises(ChainError):
         run_hmc_chain(obs, lay, spec, HmcOptions(
-            n_samples=40, burn_in=5, step_size=1e6, adapt=False, seed=0))
+            n_samples=40, burn_in=5, step_size=1e6, seed=0))
 
 
 def test_adaptation_grows_a_tiny_step():
