@@ -4,10 +4,12 @@
     python3 scripts/same_outputs.py PARENT_ROOT CHANGE_ROOT [--work DIR]
 
 Runs the first two cases at seed 0 of every workload in
-perfbench/workloads.py (one case where a workload has only one), and one
-reduced beta-sweep, the recipe no workload runs, through
-``expfamproj.cli.main``, once per checkout, each in a fresh subprocess with
-BLAS and OpenMP pinned to one thread.  The case configs come from this
+perfbench/workloads.py (one case where a workload has only one) and the
+extra cases below through ``expfamproj.cli.main``, once per checkout, each
+in a fresh subprocess with BLAS and OpenMP pinned to one thread.  The
+extra cases cover what no workload runs: one reduced beta-sweep, a small
+synthetic ``fit`` with each engine, a sampler ``impute``, and a recipe
+whose replicates all fail.  The case configs come from this
 script and its own perfbench/, which is imported and never written, so
 both checkouts run the same configs against their own src/.
 
@@ -42,6 +44,39 @@ BETA_SWEEP = {"recipe": "beta-sweep",
               "overrides": {"n_points": 5, "restarts": 2, "cv_folds": 3,
                             "cv_max_iter": 60, "max_iter": 150,
                             "seed": SEED}}
+SYNTHETIC = {"model": "ecca", "view_widths": [6, 5], "ranks": [1, 1, 1],
+             "families": ["poisson", "bernoulli"]}
+
+
+def _model_config(engine, options, **extra):
+    """A fit (or, with a holdout, impute) config on 14 synthetic rows."""
+    return dict({"data": {"synthetic": dict(SYNTHETIC, n_rows=14,
+                                            seed=SEED)},
+                 "layout": SYNTHETIC,
+                 "prior": {"beta": 0.2, "a_hyper": [0.5, 1.0]},
+                 "engine": engine, "options": options, "seed": SEED},
+                **extra)
+
+
+# (name, command, config) of the cases no workload covers
+EXTRA_CASES = (
+    ("beta-sweep", "experiment", BETA_SWEEP),
+    ("fit-map", "fit", _model_config("map", {"max_iter": 100,
+                                            "restarts": 2})),
+    ("fit-hmc", "fit", _model_config(
+        "hmc", {"n_samples": 10, "burn_in": 20, "n_leapfrog": 10,
+                "step_size": 0.01, "infer_hyper": True,
+                "exchange": {"inner_sweeps": 10}})),
+    ("fit-gibecca", "fit", _model_config("gibecca", {"n_samples": 10,
+                                                    "burn_in": 10})),
+    ("impute-gibecca", "impute", _model_config(
+        "gibecca", {"n_samples": 10, "burn_in": 10},
+        holdout={"fraction": 0.2, "seed": SEED})),
+    # beta outside [0, 1] fails inside every replicate
+    ("failing-replicates", "experiment",
+     {"recipe": "epls-vs-sepca",
+      "overrides": {"n_replicates": 2, "beta": 2.0, "seed": SEED}}),
+)
 
 
 def _cases():
@@ -52,7 +87,8 @@ def _cases():
         for case in range(min(CASES_PER_WORKLOAD, workload.cases)):
             yield (name, case, workload.command,
                    workload.config(case_seed(SEED, case)))
-    yield "beta-sweep", 0, "experiment", BETA_SWEEP
+    for name, command, payload in EXTRA_CASES:
+        yield name, 0, command, payload
 
 
 def run_cases(root, out):

@@ -24,8 +24,8 @@ from .experiments import (RECIPES, coerce_fields, expect_bool,
 from .gibecca import GibeccaOptions, run_gibecca
 from .hmc_infer import ChainError, ExchangeOptions, HmcOptions, run_hmc_chain
 from .map_infer import FitError, FoldInError, MapOptions, fit_map
-from .model import (ConfigError, LayoutError, ShapeError, assemble_theta,
-                    load_observations, make_layout)
+from .model import (ConfigError, LayoutError, ShapeError, as_int,
+                    assemble_theta, load_observations, make_layout)
 from .prior import PriorSpec
 from .spect import ParseError, load_or_fallback, make_holdout
 
@@ -59,12 +59,13 @@ def _no_unknown(d, allowed, path):
 
 
 def _wrap(path, fn, *args, **kwargs):
-    """Run a constructor, tagging any validation error with the path."""
+    """Run a constructor or loader, tagging any validation error or
+    unreadable file with the path."""
     try:
         return fn(*args, **kwargs)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -109,18 +110,6 @@ def build_prior(d, path="prior"):
 _OPTION_CLASSES = {"map": MapOptions, "hmc": HmcOptions,
                    "gibecca": GibeccaOptions}
 _UNSETTABLE = {"fix_v", "initial_state"}
-# smallest accepted counts; an engine without the field rejects it as
-# unknown first.  The exchange stationarity check compares the means of
-# two halves of the inner trace, so it needs at least one sweep in each.
-_MINIMUMS = {"n_samples": 0, "burn_in": 0, "thin": 1, "n_leapfrog": 1,
-             "restarts": 1, "inner_sweeps": 2}
-
-
-def _check_minimums(kwargs, path):
-    for key, lo in _MINIMUMS.items():
-        if kwargs.get(key, lo) < lo:
-            raise ConfigError(f"{path}.{key}: must be at least {lo}, "
-                              f"got {kwargs[key]}")
 
 
 def build_options(engine, d, path="options", seed=None):
@@ -131,18 +120,16 @@ def build_options(engine, d, path="options", seed=None):
     d = dict(_as_dict(d, path)) if d is not None else {}
     exchange = d.pop("exchange", None)
     kwargs = coerce_fields(cls, d, path, f"engine {engine}", _UNSETTABLE)
-    _check_minimums(kwargs, path)
     if engine == "hmc" and exchange is not None:
         sub = f"{path}.exchange"
         sub_kwargs = coerce_fields(ExchangeOptions, _as_dict(exchange, sub),
                                    sub, "exchange")
-        _check_minimums(sub_kwargs, sub)
         kwargs["exchange"] = _wrap(sub, ExchangeOptions, **sub_kwargs)
     elif exchange is not None:
         raise ConfigError(f"{path}.exchange: only the hmc engine takes "
                           "exchange options")
     if seed is not None:
-        kwargs["seed"] = _wrap("seed", int, seed)
+        kwargs["seed"] = _wrap("seed", as_int, seed)
     return _wrap(path, cls, **kwargs)
 
 
@@ -155,7 +142,7 @@ def load_data(d, spect_path=None, path="data"):
     is printed to stderr here.
     """
     if d == "spect":
-        obs, notice = load_or_fallback(spect_path)
+        obs, notice = _wrap("--spect", load_or_fallback, spect_path)
         if notice:
             print(notice, file=sys.stderr)
         return obs, notice
@@ -175,8 +162,9 @@ def load_data(d, spect_path=None, path="data"):
             {k: s[k] for k in ("model", "view_widths", "ranks", "families",
                                "alpha") if k in s},
             path=sub)
-        data = _wrap(sub, generate_coupled, layout, _get(s, "n_rows", sub),
-                     seed=_cast(s, "seed", sub, int, 0),
+        data = _wrap(sub, generate_coupled, layout,
+                     _cast(s, "n_rows", sub, as_int),
+                     seed=_cast(s, "seed", sub, as_int, 0),
                      latent_scale=_cast(s, "latent_scale", sub, float, 1.0),
                      target_scale=_cast(s, "target_scale", sub, float, 1.0))
         return data.train, None
@@ -199,26 +187,34 @@ def _scalar_stats(stats):
             if isinstance(v, (int, float, bool, str)) or v is None}
 
 
-def _write_summary(out_dir, summary):
+def _write_summary(out_dir, summary, notice=None):
+    """summary.json, with the data notice (the spect fallback) if any."""
+    if notice:
+        summary["data_notice"] = notice
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
 
 
-def cmd_fit(cfg, args):
+def _model_config(cfg, args, extra=(), default_engine=_MISSING):
+    """(cfg, layout, spec, engine, opts) from the head that fit and impute
+    configs share; extra names the command's other fields."""
     cfg = _as_dict(cfg, "config")
     _no_unknown(cfg, {"data", "layout", "prior", "engine", "options",
-                      "seed"}, "config")
+                      "seed", *extra}, "config")
     layout = build_layout(_get(cfg, "layout", "config"))
     spec = build_prior(_get(cfg, "prior", "config"))
-    engine = _get(cfg, "engine", "config")
+    engine = _get(cfg, "engine", "config", default_engine)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     opts = build_options(engine, cfg.get("options"), seed=seed)
+    return cfg, layout, spec, engine, opts
+
+
+def cmd_fit(cfg, args):
+    cfg, layout, spec, engine, opts = _model_config(cfg, args)
     obs, notice = load_data(_get(cfg, "data", "config"), args.spect)
 
     os.makedirs(args.out, exist_ok=True)
     summary = {"engine": engine, "seed": getattr(opts, "seed", None)}
-    if notice:
-        summary["data_notice"] = notice
     if engine == "map":
         fit = fit_map(obs, layout, spec, opts)
         save_state(fit.state, args.out,
@@ -233,7 +229,7 @@ def cmd_fit(cfg, args):
         save_chain(chain, os.path.join(args.out, "chain"), layout)
         summary.update(n_samples=chain.n_samples,
                        stats=_scalar_stats(chain.stats), meta=chain.meta)
-    _write_summary(args.out, summary)
+    _write_summary(args.out, summary, notice)
     print(f"fit: engine={engine} -> {args.out}")
     return 0
 
@@ -245,10 +241,10 @@ def cmd_experiment(cfg, args):
     recipe_cfg = make_recipe_config(name, cfg.get("overrides"),
                                     seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
+    notice = None
     if name == "beta-sweep":
         obs, notice = load_data("spect", args.spect)
-        result = run_beta_sweep(recipe_cfg, obs, jobs=args.jobs,
-                                notice=notice)
+        result = run_beta_sweep(recipe_cfg, obs, jobs=args.jobs)
     else:
         result = RECIPES[name][1](recipe_cfg, jobs=args.jobs)
     csv_path = os.path.join(args.out, f"{name}.csv")
@@ -256,7 +252,7 @@ def cmd_experiment(cfg, args):
     for key, (chain, layout) in result.chains.items():
         save_chain(chain, os.path.join(args.out, "chains", key), layout)
     result.summary["config"] = dataclasses.asdict(recipe_cfg)
-    _write_summary(args.out, result.summary)
+    _write_summary(args.out, result.summary, notice)
     n_failed = sum(r["status"] != "ok" for r in result.rows)
     print(f"experiment {name}: {len(result.rows)} rows "
           f"({n_failed} flagged) -> {csv_path}")
@@ -264,20 +260,14 @@ def cmd_experiment(cfg, args):
 
 
 def cmd_impute(cfg, args):
-    cfg = _as_dict(cfg, "config")
-    _no_unknown(cfg, {"data", "layout", "prior", "engine", "options",
-                      "holdout", "seed"}, "config")
-    layout = build_layout(_get(cfg, "layout", "config"))
-    spec = build_prior(_get(cfg, "prior", "config"))
-    engine = cfg.get("engine", "map")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    opts = build_options(engine, cfg.get("options"), seed=seed)
+    cfg, layout, spec, engine, opts = _model_config(cfg, args, ("holdout",),
+                                                    "map")
     hold = _as_dict(_get(cfg, "holdout", "config"), "holdout")
     _no_unknown(hold, {"fraction", "seed"}, "holdout")
     obs, notice = load_data(_get(cfg, "data", "config"), args.spect)
 
     train, held = make_holdout(obs, _cast(hold, "fraction", "holdout", float),
-                               seed=_cast(hold, "seed", "holdout", int, 0))
+                               seed=_cast(hold, "seed", "holdout", as_int, 0))
     if engine == "map":
         fit = fit_map(train, layout, spec, opts)
         thetas = [assemble_theta(fit.state, layout)]
@@ -298,9 +288,7 @@ def cmd_impute(cfg, args):
                 means[held].tolist()))
     summary = {"engine": engine, "heldout_loglik": ll,
                "n_holdout": int(held.sum())}
-    if notice:
-        summary["data_notice"] = notice
-    _write_summary(args.out, summary)
+    _write_summary(args.out, summary, notice)
     print(f"impute: {int(held.sum())} entries, heldout_loglik={ll:.6f} "
           f"-> {args.out}")
     return 0

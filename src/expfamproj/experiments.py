@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +28,8 @@ from .expfam import ConjugateHyper, get_family
 from .gibecca import GibeccaOptions, run_gibecca
 from .hmc_infer import HmcOptions, run_hmc_chain
 from .map_infer import MapOptions, cv_select_hyperparams, fit_map, predict_target
-from .model import ConfigError, ObservationSet, assemble_theta, make_layout
+from .model import (ConfigError, ObservationSet, as_int, assemble_theta,
+                    make_layout)
 from .prior import PriorSpec
 from .spect import make_holdout
 
@@ -52,16 +54,29 @@ def _row(experiment, replicate, method, components, metric, value,
             "metric": metric, "value": float(value), "status": status}
 
 
-def _fail_rows(experiment, replicate, exc):
-    reason = f"failed: {type(exc).__name__}: {exc}"
-    return [_row(experiment, replicate, "*", 0, "error", np.nan, reason)]
+def _guarded(name, worker, args):
+    """worker(args), or a failure row for replicate args[0] if it throws."""
+    try:
+        return worker(args)
+    except Exception as exc:                      # noqa: BLE001
+        traceback.print_exc()
+        reason = f"failed: {type(exc).__name__}: {exc}"
+        return [_row(name, args[0], "*", 0, "error", np.nan, reason)], {}
 
 
-def _pool_map(worker, args, jobs):
+def _replicates(name, worker, args, jobs):
+    """Concatenated rows and merged chains of worker over args, in order;
+    each args tuple starts with its replicate index and each worker
+    returns (rows, chains)."""
+    task = functools.partial(_guarded, name, worker)
     if jobs <= 1:
-        return [worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(worker, args))
+        out = [task(a) for a in args]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            out = list(ex.map(task, args))
+    rows = [r for chunk, _ in out for r in chunk]
+    chains = {k: v for _, ch in out for k, v in ch.items()}
+    return rows, chains
 
 
 @dataclass
@@ -128,54 +143,46 @@ class EplsVsSepcaConfig:
 
 
 def _epls_replicate(args):
-    cfg, rep = args
-    name = "epls-vs-sepca"
-    try:
-        widths = (cfg.d_target, cfg.d_features)
-        gen_layout = make_layout("epls", widths,
-                                 (cfg.k_shared, cfg.k_specific), "bernoulli")
-        data = generate_coupled(gen_layout, cfg.n_train, cfg.n_test,
-                                seed=_seed_int(cfg.seed, 29, rep),
-                                latent_scale=cfg.latent_scale,
-                                target_scale=cfg.target_scale)
-        truth = data.test.x[:, :cfg.d_target]
-        feat_mask = np.ones(data.test.x.shape, dtype=bool)
-        feat_mask[:, :cfg.d_target] = False
-        test_feats = data.test.with_mask(feat_mask)
+    rep, cfg = args
+    widths = (cfg.d_target, cfg.d_features)
+    gen_layout = make_layout("epls", widths,
+                             (cfg.k_shared, cfg.k_specific), "bernoulli")
+    data = generate_coupled(gen_layout, cfg.n_train, cfg.n_test,
+                            seed=_seed_int(cfg.seed, 29, rep),
+                            latent_scale=cfg.latent_scale,
+                            target_scale=cfg.target_scale)
+    truth = data.test.x[:, :cfg.d_target]
+    feat_mask = np.ones(data.test.x.shape, dtype=bool)
+    feat_mask[:, :cfg.d_target] = False
+    test_feats = data.test.with_mask(feat_mask)
 
-        methods = [("epls", "epls", (cfg.k_shared, cfg.k_specific), None,
-                    cfg.k_shared + cfg.k_specific)]
-        for alpha in cfg.alphas:
-            for k in cfg.sepca_components:
-                methods.append((f"sepca-a{alpha:g}-k{k}", "sepca", k,
-                                (1.0, alpha), k))
+    methods = [("epls", "epls", (cfg.k_shared, cfg.k_specific), None,
+                cfg.k_shared + cfg.k_specific)]
+    for alpha in cfg.alphas:
+        for k in cfg.sepca_components:
+            methods.append((f"sepca-a{alpha:g}-k{k}", "sepca", k,
+                            (1.0, alpha), k))
 
-        rows = []
-        for m, (label, kind, ranks, alpha, n_comp) in enumerate(methods):
-            layout = make_layout(kind, widths, ranks, "bernoulli",
-                                 alpha=alpha)
-            spec = PriorSpec(beta=cfg.beta,
-                             a_hyper=ConjugateHyper(cfg.lam, cfg.nu),
-                             sigma_u=cfg.sigma_u, sigma_v=cfg.sigma_v)
-            opts = MapOptions(max_iter=cfg.max_iter, restarts=cfg.restarts,
-                              seed=_seed_int(cfg.seed, 29, rep, 1, m))
-            fit = fit_map(data.train, layout, spec, opts)
-            pred = predict_target(test_feats, fit.state, layout, spec,
-                                  MapOptions(max_iter=cfg.max_iter))
-            err = prediction_error(pred.means, truth,
-                                   get_family("bernoulli"))
-            rows.append(_row(name, rep, label, n_comp,
-                             "prediction_error", err))
-        return rows
-    except Exception as exc:                      # noqa: BLE001
-        traceback.print_exc()
-        return _fail_rows(name, rep, exc)
+    rows = []
+    for m, (label, kind, ranks, alpha, n_comp) in enumerate(methods):
+        layout = make_layout(kind, widths, ranks, "bernoulli", alpha=alpha)
+        spec = PriorSpec(beta=cfg.beta,
+                         a_hyper=ConjugateHyper(cfg.lam, cfg.nu),
+                         sigma_u=cfg.sigma_u, sigma_v=cfg.sigma_v)
+        opts = MapOptions(max_iter=cfg.max_iter, restarts=cfg.restarts,
+                          seed=_seed_int(cfg.seed, 29, rep, 1, m))
+        fit = fit_map(data.train, layout, spec, opts)
+        pred = predict_target(test_feats, fit.state, layout, spec,
+                              MapOptions(max_iter=cfg.max_iter))
+        err = prediction_error(pred.means, truth, get_family("bernoulli"))
+        rows.append(_row("epls-vs-sepca", rep, label, n_comp,
+                         "prediction_error", err))
+    return rows, {}
 
 
 def run_epls_vs_sepca(cfg: EplsVsSepcaConfig, jobs=1) -> RecipeResult:
-    args = [(cfg, rep) for rep in range(cfg.n_replicates)]
-    rows = [r for chunk in _pool_map(_epls_replicate, args, jobs)
-            for r in chunk]
+    args = [(rep, cfg) for rep in range(cfg.n_replicates)]
+    rows, _ = _replicates("epls-vs-sepca", _epls_replicate, args, jobs)
     tests = []
     for alpha in cfg.alphas:
         for k in cfg.sepca_components:
@@ -212,25 +219,20 @@ class BetaSweepConfig:
 
 
 def _beta_point(args):
-    cfg, idx, beta, restart, train_obs, held, layout, base = args
-    name = "beta-sweep"
-    try:
-        # gamma=None: the point's gamma is 1 - beta, not base's
-        spec = base.replace(beta=float(beta), gamma=None)
-        fit = fit_map(train_obs, layout, spec,
-                      MapOptions(max_iter=cfg.max_iter, restarts=1,
-                                 seed=_seed_int(cfg.seed, 41, idx, restart)))
-        value = heldout_loglik([assemble_theta(fit.state, layout)],
-                               train_obs, held, layout)
-        return [_row(name, restart, f"beta-{beta:.6g}", cfg.k,
-                     "heldout_loglik", value)]
-    except Exception as exc:                      # noqa: BLE001
-        traceback.print_exc()
-        return _fail_rows(name, restart, exc)
+    restart, cfg, idx, beta, train_obs, held, layout, base = args
+    # gamma=None: the point's gamma is 1 - beta, not base's
+    spec = base.replace(beta=float(beta), gamma=None)
+    fit = fit_map(train_obs, layout, spec,
+                  MapOptions(max_iter=cfg.max_iter, restarts=1,
+                             seed=_seed_int(cfg.seed, 41, idx, restart)))
+    value = heldout_loglik([assemble_theta(fit.state, layout)],
+                           train_obs, held, layout)
+    return [_row("beta-sweep", restart, f"beta-{beta:.6g}", cfg.k,
+                 "heldout_loglik", value)], {}
 
 
 def run_beta_sweep(cfg: BetaSweepConfig, obs: ObservationSet,
-                   jobs=1, notice=None) -> RecipeResult:
+                   jobs=1) -> RecipeResult:
     train_obs, held = make_holdout(obs, cfg.holdout_fraction,
                                    seed=_seed_int(cfg.seed, 31))
     fam = train_obs.families[0].name
@@ -241,10 +243,9 @@ def run_beta_sweep(cfg: BetaSweepConfig, obs: ObservationSet,
                                  opts=MapOptions(max_iter=cfg.cv_max_iter))
 
     betas = np.linspace(0.0, 1.0, cfg.n_points)
-    args = [(cfg, i, beta, r, train_obs, held, layout, base)
+    args = [(r, cfg, i, beta, train_obs, held, layout, base)
             for i, beta in enumerate(betas) for r in range(cfg.restarts)]
-    rows = [r for chunk in _pool_map(_beta_point, args, jobs)
-            for r in chunk]
+    rows, _ = _replicates("beta-sweep", _beta_point, args, jobs)
 
     per_beta = []
     for beta in betas:
@@ -261,8 +262,6 @@ def run_beta_sweep(cfg: BetaSweepConfig, obs: ObservationSet,
                    "lam": base.a_hyper[0].lam, "nu": base.a_hyper[0].nu,
                    "sigma_u": base.sigma_u, "sigma_v": base.sigma_v},
                "holdout_entries": int(held.sum()), "per_beta": per_beta}
-    if notice:
-        summary["data_notice"] = notice
     if per_beta:
         means = np.array([p["mean"] for p in per_beta])
         i_max = int(np.argmax(means))
@@ -303,57 +302,50 @@ def _gaussian_view(obs: ObservationSet) -> ObservationSet:
 
 
 def _cca_replicate(args):
-    cfg, rep, fam_idx = args
+    rep, cfg, fam_idx = args
     fam_name = cfg.data_families[fam_idx]
-    name = "cca-knn"
-    try:
-        ranks = (cfg.k_shared, cfg.k_specific, cfg.k_specific)
-        layout = make_layout("ecca", (cfg.d1, cfg.d2), ranks, fam_name)
-        data = generate_coupled(layout, cfg.n_rows,
-                                seed=_seed_int(cfg.seed, 43, rep, fam_idx),
-                                latent_scale=cfg.latent_scale)
-        labels = data.labels
-        obs_gau = _gaussian_view(data.train)
-        layout_gau = make_layout("ecca", (cfg.d1, cfg.d2), ranks, "gaussian")
+    ranks = (cfg.k_shared, cfg.k_specific, cfg.k_specific)
+    layout = make_layout("ecca", (cfg.d1, cfg.d2), ranks, fam_name)
+    data = generate_coupled(layout, cfg.n_rows,
+                            seed=_seed_int(cfg.seed, 43, rep, fam_idx),
+                            latent_scale=cfg.latent_scale)
+    labels = data.labels
+    obs_gau = _gaussian_view(data.train)
+    layout_gau = make_layout("ecca", (cfg.d1, cfg.d2), ranks, "gaussian")
 
-        def _spec(fam):
-            return PriorSpec(beta=cfg.beta,
-                             a_hyper=ConjugateHyper(*DEFAULT_A[fam]))
+    def _spec(fam):
+        return PriorSpec(beta=cfg.beta,
+                         a_hyper=ConjugateHyper(*DEFAULT_A[fam]))
 
-        def _score(latent, tag):
-            err = knn_latent_error(latent, labels, cfg.knn_k, cfg.knn_folds,
-                                   seed=_seed_int(cfg.seed, 47, rep))
-            return _row(name, rep, f"{tag}-{fam_name}", cfg.k_shared,
-                        "knn_error", err)
+    def _score(latent, tag):
+        err = knn_latent_error(latent, labels, cfg.knn_k, cfg.knn_folds,
+                               seed=_seed_int(cfg.seed, 47, rep))
+        return _row("cca-knn", rep, f"{tag}-{fam_name}", cfg.k_shared,
+                    "knn_error", err)
 
-        rows = []
-        chain = run_gibecca(data.train, layout, _spec(fam_name),
-                            GibeccaOptions(cfg.n_samples, cfg.burn_in,
-                                           seed=_seed_int(cfg.seed, 53, rep)))
-        rows.append(_score(shared_latent_mean(chain, layout), "gibecca"))
+    rows = []
+    chain = run_gibecca(data.train, layout, _spec(fam_name),
+                        GibeccaOptions(cfg.n_samples, cfg.burn_in,
+                                       seed=_seed_int(cfg.seed, 53, rep)))
+    rows.append(_score(shared_latent_mean(chain, layout), "gibecca"))
 
-        chain_g = run_gibecca(obs_gau, layout_gau, _spec("gaussian"),
-                              GibeccaOptions(cfg.n_samples, cfg.burn_in,
-                                             seed=_seed_int(cfg.seed, 59,
-                                                            rep)))
-        rows.append(_score(shared_latent_mean(chain_g, layout_gau), "bcca"))
+    chain_g = run_gibecca(obs_gau, layout_gau, _spec("gaussian"),
+                          GibeccaOptions(cfg.n_samples, cfg.burn_in,
+                                         seed=_seed_int(cfg.seed, 59, rep)))
+    rows.append(_score(shared_latent_mean(chain_g, layout_gau), "bcca"))
 
-        fit = fit_map(obs_gau, layout_gau,
-                      PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.0, 1.0)),
-                      MapOptions(max_iter=cfg.map_max_iter,
-                                 seed=_seed_int(cfg.seed, 61, rep)))
-        rows.append(_score(fit.state.u[:, :cfg.k_shared], "cca"))
-        return rows
-    except Exception as exc:                      # noqa: BLE001
-        traceback.print_exc()
-        return _fail_rows(name, rep, exc)
+    fit = fit_map(obs_gau, layout_gau,
+                  PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.0, 1.0)),
+                  MapOptions(max_iter=cfg.map_max_iter,
+                             seed=_seed_int(cfg.seed, 61, rep)))
+    rows.append(_score(fit.state.u[:, :cfg.k_shared], "cca"))
+    return rows, {}
 
 
 def run_cca_knn(cfg: CcaKnnConfig, jobs=1) -> RecipeResult:
-    args = [(cfg, rep, fam_idx) for fam_idx in range(len(cfg.data_families))
+    args = [(rep, cfg, fam_idx) for fam_idx in range(len(cfg.data_families))
             for rep in range(cfg.n_replicates)]
-    rows = [r for chunk in _pool_map(_cca_replicate, args, jobs)
-            for r in chunk]
+    rows, _ = _replicates("cca-knn", _cca_replicate, args, jobs)
     medians = {}
     for fam in cfg.data_families:
         for tag in ("gibecca", "bcca", "cca"):
@@ -389,48 +381,42 @@ class SamplerBenchConfig:
 
 
 def _bench_replicate(args):
-    cfg, rep = args
+    rep, cfg = args
     name = "sampler-bench"
-    try:
-        ranks = (cfg.k_shared, cfg.k_specific, cfg.k_specific)
-        layout = make_layout("ecca", (cfg.d1, cfg.d2), ranks, "poisson")
-        data = generate_coupled(layout, cfg.n_rows,
-                                seed=_seed_int(cfg.seed, 67, rep),
-                                latent_scale=cfg.latent_scale)
-        spec = PriorSpec(beta=cfg.beta,
-                         a_hyper=ConjugateHyper(*DEFAULT_A["poisson"]))
+    ranks = (cfg.k_shared, cfg.k_specific, cfg.k_specific)
+    layout = make_layout("ecca", (cfg.d1, cfg.d2), ranks, "poisson")
+    data = generate_coupled(layout, cfg.n_rows,
+                            seed=_seed_int(cfg.seed, 67, rep),
+                            latent_scale=cfg.latent_scale)
+    spec = PriorSpec(beta=cfg.beta,
+                     a_hyper=ConjugateHyper(*DEFAULT_A["poisson"]))
 
-        chains, rows = {}, []
-        chain = run_gibecca(data.train, layout, spec,
-                            GibeccaOptions(cfg.gib_samples, cfg.gib_burn,
-                                           seed=_seed_int(cfg.seed, 71, rep)))
-        chains[f"gibecca-rep{rep}"] = (chain, layout)
-        hmc = run_hmc_chain(data.train, layout, spec,
-                            HmcOptions(n_samples=cfg.hmc_samples,
-                                       burn_in=cfg.hmc_burn,
-                                       step_size=cfg.hmc_step,
-                                       infer_hyper=True,
-                                       seed=_seed_int(cfg.seed, 73, rep)))
-        chains[f"hmc-rep{rep}"] = (hmc, layout)
+    chains, rows = {}, []
+    chain = run_gibecca(data.train, layout, spec,
+                        GibeccaOptions(cfg.gib_samples, cfg.gib_burn,
+                                       seed=_seed_int(cfg.seed, 71, rep)))
+    chains[f"gibecca-rep{rep}"] = (chain, layout)
+    hmc = run_hmc_chain(data.train, layout, spec,
+                        HmcOptions(n_samples=cfg.hmc_samples,
+                                   burn_in=cfg.hmc_burn,
+                                   step_size=cfg.hmc_step,
+                                   infer_hyper=True,
+                                   seed=_seed_int(cfg.seed, 73, rep)))
+    chains[f"hmc-rep{rep}"] = (hmc, layout)
 
-        for tag, ch in (("gibecca", chain), ("hmc", hmc)):
-            res = time_between_uncorrelated(ch)
-            rows.append(_row(name, rep, tag, cfg.k_shared,
-                             "uncorrelated_lag", res.lag))
-            rows.append(_row(name, rep, tag, cfg.k_shared,
-                             "uncorrelated_seconds", res.seconds,
-                             status="flagged" if res.flagged else "ok"))
-        return rows, chains
-    except Exception as exc:                      # noqa: BLE001
-        traceback.print_exc()
-        return _fail_rows(name, rep, exc), {}
+    for tag, ch in (("gibecca", chain), ("hmc", hmc)):
+        res = time_between_uncorrelated(ch)
+        rows.append(_row(name, rep, tag, cfg.k_shared,
+                         "uncorrelated_lag", res.lag))
+        rows.append(_row(name, rep, tag, cfg.k_shared,
+                         "uncorrelated_seconds", res.seconds,
+                         status="flagged" if res.flagged else "ok"))
+    return rows, chains
 
 
 def run_sampler_bench(cfg: SamplerBenchConfig, jobs=1) -> RecipeResult:
-    args = [(cfg, rep) for rep in range(cfg.n_replicates)]
-    out = _pool_map(_bench_replicate, args, jobs)
-    rows = [r for chunk, _ in out for r in chunk]
-    chains = {k: v for _, ch in out for k, v in ch.items()}
+    args = [(rep, cfg) for rep in range(cfg.n_replicates)]
+    rows, chains = _replicates("sampler-bench", _bench_replicate, args, jobs)
     means = {}
     for tag in ("gibecca", "hmc"):
         secs = list(_values(rows, tag, "uncorrelated_seconds").values())
@@ -458,16 +444,21 @@ RECIPES = {
 }
 
 
-_CASTS = {"int": int, "float": float,
+_CASTS = {"int": as_int, "float": float,
           "tuple": lambda v: tuple(v) if not np.isscalar(v) else (v,)}
+# smallest accepted counts; an engine without the field rejects it as
+# unknown first.  The exchange stationarity check compares the means of
+# two halves of the inner trace, so it needs at least one sweep in each.
+_MINIMUMS = {"n_samples": 0, "burn_in": 0, "thin": 1, "n_leapfrog": 1,
+             "restarts": 1, "inner_sweeps": 2}
 
 
 def coerce_fields(cls, values, path, owner, unsettable=()):
     """Keyword arguments for dataclass cls from JSON values.
 
     Names must be settable fields of cls; values are coerced by the
-    field's annotation (int, float, tuple), and a bool field takes only a
-    JSON boolean.  Errors name the field as path.key.
+    field's annotation (int, float, tuple) and held to _MINIMUMS, and a
+    bool field takes only a JSON boolean.  Errors name it as path.key.
     """
     kinds = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -480,6 +471,9 @@ def coerce_fields(cls, values, path, owner, unsettable=()):
             kwargs[key] = _CASTS.get(kinds[key], lambda v: v)(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}.{key}: {exc}") from exc
+        if key in _MINIMUMS and kwargs[key] < _MINIMUMS[key]:
+            raise ConfigError(f"{path}.{key}: must be at least "
+                              f"{_MINIMUMS[key]}, got {kwargs[key]}")
     return kwargs
 
 
@@ -498,5 +492,5 @@ def make_recipe_config(name, overrides=None, seed=None):
     cls = RECIPES[name][0]
     kwargs = coerce_fields(cls, overrides or {}, "overrides", name)
     if seed is not None:
-        kwargs["seed"] = int(seed)
+        kwargs["seed"] = as_int(seed)
     return cls(**kwargs)

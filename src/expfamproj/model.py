@@ -43,6 +43,18 @@ class ShapeError(ValueError):
     """Array shape does not match the layout."""
 
 
+def as_int(value) -> int:
+    """value as an int: an integer, a whole float or an integer string.
+
+    A fractional number or a bool is refused rather than truncated.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, (float, np.floating)) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class BlockLayout:
     """Static description of the factorisation blocks.
@@ -98,17 +110,17 @@ def make_layout(model_kind, view_widths, ranks, families, alpha=None,
         raise LayoutError(f"unknown model kind {model_kind!r}")
 
     if np.isscalar(view_widths):
-        view_widths = (int(view_widths), 0)
-    d1, d2 = (int(v) for v in view_widths)
+        view_widths = (view_widths, 0)
+    d1, d2 = (as_int(v) for v in view_widths)
     if d1 < 0 or d2 < 0:
         raise LayoutError("view widths must be non-negative")
 
     if np.isscalar(ranks):
-        ranks = (int(ranks), 0, 0)
+        ranks = (ranks, 0, 0)
     if len(ranks) == 2:
         # (k_shared, k_2) shorthand for epls
-        ranks = (int(ranks[0]), 0, int(ranks[1]))
-    k_s, k_1, k_2 = (int(r) for r in ranks)
+        ranks = (ranks[0], 0, ranks[1])
+    k_s, k_1, k_2 = (as_int(r) for r in ranks)
     if min(k_s, k_1, k_2) < 0 or k_s + k_1 + k_2 == 0:
         raise LayoutError("ranks must be non-negative with at least one component")
 
@@ -476,7 +488,7 @@ def load_observations(csv_path, descriptor_path) -> ObservationSet:
         raise ValueError(f"descriptor {descriptor_path}: 'alpha' is not a "
                          "data property; set the sepca weights with "
                          "layout.alpha")
-    view_widths = tuple(int(w) for w in desc["view_widths"])
+    view_widths = tuple(as_int(w) for w in desc["view_widths"])
     families = desc["families"]
     if isinstance(families, str):
         families = [families]

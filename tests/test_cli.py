@@ -219,6 +219,20 @@ def test_experiment_cli_writes_rows_and_summary(tmp_path, capsys):
     assert len(summary["paired_tests"]) == 1
 
 
+def test_beta_sweep_summary_carries_data_notice(tmp_path, capsys):
+    """Without --spect the sweep runs on the stand-in and says so."""
+    cfg = _write_json(tmp_path / "cfg.json", {
+        "recipe": "beta-sweep",
+        "overrides": {"n_points": 2, "restarts": 1, "cv_folds": 2,
+                      "cv_max_iter": 20, "max_iter": 30}})
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+    assert "stand-in" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert "stand-in" in summary["data_notice"]
+    assert len(summary["per_beta"]) == 2
+
+
 # --------------------------------------------------------------- exit codes
 
 def _valid_fit_config(tmp_path):
@@ -266,6 +280,15 @@ def test_config_problems_exit_2(tmp_path, capsys, mutate):
     ("map", {"init_std": 0.01}, "options.init_std"),
     ("hmc", {"init_std": 0.01}, "options.init_std"),
     ("hmc", {"adapt": False}, "options.adapt"),
+    ("layout", {"ranks": 2.7}, "layout"),
+    ("layout", {"view_widths": 5.5}, "layout"),
+    ("gibecca", {"n_samples": 2.7, "burn_in": 2}, "options.n_samples"),
+    ("gibecca", {"n_samples": 2, "burn_in": 3.2}, "options.burn_in"),
+    ("gibecca", {"n_samples": 2, "burn_in": 2, "thin": 1.9}, "options.thin"),
+    ("map", {"max_iter": 20, "restarts": True}, "options.restarts"),
+    ("hmc", {"n_samples": 2, "burn_in": 2, "infer_hyper": True,
+             "exchange": {"inner_sweeps": 4.5}},
+     "options.exchange.inner_sweeps"),
 ])
 def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
                                            value, field):
@@ -292,20 +315,27 @@ def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
      "data.synthetic.target_scale"),
     ("impute", "holdout", {"fraction": "abc"}, "holdout.fraction"),
     ("impute", "holdout", {"seed": "x"}, "holdout.seed"),
+    ("fit", "config", {"seed": 2.9}, "seed"),
+    ("impute", "config", {"seed": True}, "seed"),
+    ("fit", "synthetic", {"seed": 1.5}, "data.synthetic.seed"),
+    ("fit", "synthetic", {"n_rows": 10.6}, "data.synthetic.n_rows"),
+    ("fit", "synthetic", {"n_rows": "abc"}, "data.synthetic.n_rows"),
+    ("impute", "holdout", {"seed": 1.6}, "holdout.seed"),
 ])
 def test_mistyped_scalar_names_its_field(tmp_path, capsys, command, section,
                                          value, field):
     """These scalars used to be cast outside the field checks, so a
-    mistyped one exited 3 as a numeric failure that named no field."""
+    mistyped one exited 3 as a numeric failure that named no field; a
+    fractional integer was truncated, and a fractional n_rows raised."""
     cfg = _valid_fit_config(tmp_path)
     if command == "impute":
         cfg["holdout"] = {"fraction": 0.2, "seed": 1}
     if section == "config":
         cfg.update(value)
     elif section == "synthetic":
-        cfg["data"] = {"synthetic": dict(
+        cfg["data"] = {"synthetic": dict(dict(
             model="epca", view_widths=5, ranks=2, families="bernoulli",
-            n_rows=10, **value)}
+            n_rows=10), **value)}
     else:
         cfg["holdout"].update(value)
     path = _write_json(tmp_path / "cfg.json", cfg)
@@ -324,6 +354,35 @@ def test_descriptor_alpha_is_rejected(tmp_path, capsys):
     assert main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "layout.alpha" in err
+
+
+@pytest.mark.parametrize("source, field", [
+    ("csv", "data"), ("descriptor", "data"), ("spect", "--spect"),
+])
+def test_missing_data_file_names_its_source(tmp_path, capsys, source,
+                                            field):
+    """A data file that does not exist used to end in a traceback."""
+    cfg = _valid_fit_config(tmp_path)
+    missing = str(tmp_path / "absent.file")
+    argv = ["fit", "--out", str(tmp_path / "o")]
+    if source == "spect":
+        cfg["data"] = "spect"
+        argv += ["--spect", missing]
+    else:
+        cfg["data"][source] = missing
+    argv += ["--config", _write_json(tmp_path / "cfg.json", cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}: " in err and missing in err
+
+
+def test_fractional_descriptor_width_is_rejected(tmp_path, capsys):
+    cfg = _valid_fit_config(tmp_path)
+    _write_json(tmp_path / "desc.json",
+                {"view_widths": [5.5, 0], "families": ["bernoulli"]})
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    assert main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: data: " in capsys.readouterr().err
 
 
 def test_unknown_recipe_exits_2(tmp_path, capsys):

@@ -53,6 +53,10 @@ def test_make_recipe_config_coercion_and_seed():
     ("cca-knn", {"bogus_field": 1}),
     ("beta-sweep", {"n_points": "not a number"}),
     ("sampler-bench", {"save_chains": "false"}),
+    ("beta-sweep", {"restarts": 0}),
+    ("cca-knn", {"n_samples": -3}),
+    ("epls-vs-sepca", {"n_replicates": 2.5}),
+    ("cca-knn", {"burn_in": True}),
 ])
 def test_make_recipe_config_rejects(name, overrides):
     with pytest.raises(ConfigError):
@@ -138,14 +142,13 @@ def test_shrinkage_sweep_rows_and_summary():
     obs = synthetic_binary(n_rows=40, n_cols=8, seed=2)
     cfg = BetaSweepConfig(n_points=3, restarts=2, cv_folds=4,
                           cv_max_iter=60, max_iter=120, seed=3)
-    res = run_beta_sweep(cfg, obs, notice="stand-in")
+    res = run_beta_sweep(cfg, obs)
     ok = [r for r in res.rows if r["status"] == "ok"]
     assert len(ok) == len(res.rows) == 3 * 2
     assert all(r["metric"] == "heldout_loglik" for r in ok)
     assert all(r["value"] < 0.0 for r in ok)
 
     summary = res.summary
-    assert summary["data_notice"] == "stand-in"
     assert summary["holdout_entries"] > 0
     assert {p["beta"] for p in summary["per_beta"]} == {0.0, 0.5, 1.0}
     assert all(p["n"] == 2 for p in summary["per_beta"])

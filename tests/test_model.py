@@ -11,7 +11,8 @@ from expfamproj import (ConfigError, ConjugateHyper, FactorState,
                         assemble_theta, get_family,
                         load_observations, log_likelihood,
                         log_likelihood_theta, make_layout)
-from expfamproj.model import EntryTerms, likelihood_terms, log_pdf_sum_at
+from expfamproj.model import (EntryTerms, as_int, likelihood_terms,
+                              log_pdf_sum_at)
 
 from conftest import dense_observations, make_rng
 
@@ -86,6 +87,22 @@ def test_make_layout_rejections():
         make_layout("ecca", (3, 0), (1, 1, 1), ("gaussian", "gaussian"))
     with pytest.raises(LayoutError):
         make_layout("pls", (3, 4), (1, 0, 2), ("gaussian", "gaussian"))
+
+
+def test_as_int_accepts_whole_values_only():
+    """Integer fields used to go through int(), which truncates 2.7 to 2
+    and reads True as 1."""
+    assert as_int(2**64 + 1) == 2**64 + 1   # never rounded through float
+    assert as_int(3.0) == 3 and type(as_int(3.0)) is int
+    assert as_int("4") == 4
+    assert as_int(np.int64(5)) == 5
+    for bad in (2.7, "2.5", True, np.bool_(False), float("inf"), None, [3]):
+        with pytest.raises((TypeError, ValueError)):
+            as_int(bad)
+    with pytest.raises(ValueError):
+        make_layout("epca", 5.5, 2, "gaussian")
+    with pytest.raises(ValueError):
+        make_layout("epls", (1, 8), (2, 3.5), ("gaussian", "poisson"))
 
 
 def test_epls_rank_shorthand():
