@@ -128,7 +128,7 @@ class EplsVsSepcaConfig:
     d_features: int = 20
     k_shared: int = 1
     k_specific: int = 5
-    sepca_components: tuple = (1, 2, 3, 4, 5, 6, 7, 8)
+    sepca_components: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
     alphas: tuple = (1.0, 1e-3)
     beta: float = 0.1
     lam: float = 0.5
@@ -444,21 +444,28 @@ RECIPES = {
 }
 
 
-_CASTS = {"int": as_int, "float": float,
-          "tuple": lambda v: tuple(v) if not np.isscalar(v) else (v,)}
-# smallest accepted counts; an engine without the field rejects it as
-# unknown first.  The exchange stationarity check compares the means of
-# two halves of the inner trace, so it needs at least one sweep in each.
+def _as_tuple(value):
+    return tuple(value) if not np.isscalar(value) else (value,)
+
+
+_CASTS = {"int": as_int, "float": float, "tuple": _as_tuple,
+          "tuple[int, ...]": lambda v: tuple(map(as_int, _as_tuple(v)))}
+# smallest accepted counts; an engine or recipe without the field rejects
+# it as unknown first.  The exchange stationarity check compares the means
+# of two halves of the inner trace, so it needs at least one sweep in each;
+# a cross-validation needs two folds.
 _MINIMUMS = {"n_samples": 0, "burn_in": 0, "thin": 1, "n_leapfrog": 1,
-             "restarts": 1, "inner_sweeps": 2}
+             "restarts": 1, "inner_sweeps": 2, "n_replicates": 1,
+             "n_points": 1, "knn_k": 1, "cv_folds": 2, "knn_folds": 2}
 
 
 def coerce_fields(cls, values, path, owner, unsettable=()):
     """Keyword arguments for dataclass cls from JSON values.
 
     Names must be settable fields of cls; values are coerced by the
-    field's annotation (int, float, tuple) and held to _MINIMUMS, and a
-    bool field takes only a JSON boolean.  Errors name it as path.key.
+    field's annotation (int, float, tuple, tuple of ints) and held to
+    _MINIMUMS, and a bool field takes only a JSON boolean.  Errors name it
+    as path.key.
     """
     kinds = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}

@@ -7,19 +7,17 @@ data, one conjugate Gibbs sweep of the all-Gaussian factor model
     free V entries ~ N(0, var_v per row)
 
 updates U, V and (optionally) the variances, all in closed form.  Second,
-Theta itself is refreshed row by row: a proposal row is drawn from the
-Gaussian predictive N(u_{S,n} V_S, Sigma) where Sigma marginalises the
-view-specific factors, and each element is accepted with probability
+every entry of Theta gets a Metropolis refresh.  The proposal is that
+model's own draw of Theta, Theta* = U V + sqrt(r) * Z with the full U and
+V and r each column's view residual, independent across entries.  Given
+U, V and the residuals the target factorises over entries, and its
+Gaussian factor is the proposal, so each entry is accepted on its own
+with probability
 
     min(1, [p(x | theta*) a(theta*)^beta] / [p(x | theta) a(theta)^beta]),
 
 rejecting anything outside the family domain.  Unobserved entries carry
 no likelihood term and accept whenever in-domain.
-
-Sigma is block-diagonal across views: the view-i block is V_i^T V_i plus
-the view's diagonal residual (so the predictive stays positive definite
-and matches the Gaussian stage even when a view has no specific factors),
-plus a trace-scaled jitter before factorisation.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .prior import PriorSpec, factor_sums_of_squares
 
 IG_SHAPE = 1.0   # inverse-gamma hyperprior on variances
 IG_SCALE = 1.0
-JITTER_REL = 1e-8
 
 # the LAPACK routines behind scipy's cho_solve and solve_triangular
 _POTRS = linalg.lapack.dpotrs
@@ -45,8 +42,7 @@ _TRTRS = linalg.lapack.dtrtrs
 
 
 class StageError(ValueError):
-    """Gaussian stage received a non-finite Theta or could not solve, or
-    the proposal covariance it implies could not be factorised."""
+    """Gaussian stage received a non-finite Theta or could not solve."""
 
 
 @dataclass
@@ -124,29 +120,9 @@ def _sample_mvn_rows(mean, prec_chol, rng):
 
 
 def build_sigma(stage: GaussianStageState, layout: BlockLayout):
-    """Block-diagonal proposal covariance and its Cholesky factor.
-
-    Per view: V_i^T V_i over the view's columns plus the view residual on
-    the diagonal; views never mix.  Jitter of 1e-8 * trace/D keeps the
-    factorisation positive definite when specific blocks are rank
-    deficient.
-    """
-    d = layout.d_total
-    sigma = np.zeros((d, d))
-    for i in range(layout.n_views):
-        cols = layout.cols_view[i]
-        v_spec = stage.v[layout.rows_view[i], cols]
-        if v_spec.shape[0]:
-            sigma[cols, cols] += v_spec.T @ v_spec
-        idx = np.arange(d)[cols]
-        sigma[idx, idx] += stage.resid[i]
-    jitter = JITTER_REL * np.trace(sigma) / d
-    sigma[np.diag_indices(d)] += jitter
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise StageError(f"proposal covariance not PD: {exc}") from exc
-    return sigma, chol
+    """The Theta proposal's variances: each view's residual repeated over
+    its columns, a D-vector."""
+    return np.repeat(stage.resid, layout.view_widths[:layout.n_views])
 
 
 def init_gaussian_stage(layout: BlockLayout, spec: PriorSpec, n_rows,
@@ -247,13 +223,11 @@ def gibbs_gaussian_stage(theta: np.ndarray, layout: BlockLayout,
 
 def propose_theta_rows(stage: GaussianStageState, layout: BlockLayout,
                        rng: np.random.Generator) -> np.ndarray:
-    """Row n ~ N(u_{S,n} V_S, Sigma), independent across rows, with Sigma
-    built from the stage by build_sigma."""
-    _, chol = build_sigma(stage, layout)
-    k_s = layout.ranks[0]
-    mean = stage.u[:, :k_s] @ stage.v[:k_s, :]
-    z = rng.standard_normal(mean.shape)
-    return mean + z @ chol.T
+    """Theta* = U V + sqrt(r) * Z, every entry independent, with r the
+    column variances from build_sigma."""
+    mean = stage.u @ stage.v
+    return mean + np.sqrt(build_sigma(stage, layout)) \
+        * rng.standard_normal(mean.shape)
 
 
 def mh_accept_elements(obs: ObservationSet, theta_old: np.ndarray,
@@ -312,6 +286,9 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
     _check_obs_layout(obs, layout)
     if opts.infer_hypers and spec.gamma <= 0:
         raise ConfigError("variance inference needs gamma > 0")
+    if not 0 < opts.resid_init < np.inf:
+        raise ConfigError(f"options.resid_init: must be finite and positive, "
+                          f"got {opts.resid_init}")
     rng = np.random.default_rng(np.random.SeedSequence([opts.seed, 23]))
 
     theta = init_theta(obs, layout, rng)
@@ -321,12 +298,11 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
     plan = stage_plan(layout)
 
     var_u_trace, var_v_trace, resid_trace = [], [], []
-    n_acc = 0
-    n_tot = 0
+    n_acc_sample = n_acc_burn = 0
     rec = ChainRecorder(obs, layout, opts, "gibecca", thetas=True,
                         infer_hypers=opts.infer_hypers)
 
-    for _, kept in rec.sweeps():
+    for sweep, kept in rec.sweeps():
         stage = gibbs_gaussian_stage(theta, layout, stage, rng,
                                      sample_v=opts.fix_v is None,
                                      infer_variances=opts.infer_hypers,
@@ -334,8 +310,10 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
         theta_star = propose_theta_rows(stage, layout, rng)
         theta, accepted = mh_accept_elements(obs, theta, theta_star, spec,
                                              rng, kernel=kernel)
-        n_acc += int(accepted.sum())
-        n_tot += accepted.size
+        if sweep < opts.burn_in:
+            n_acc_burn += int(accepted.sum())
+        else:
+            n_acc_sample += int(accepted.sum())
 
         if kept:
             rec.record(FactorState(stage.u.copy(), stage.v.copy()),
@@ -344,8 +322,11 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
             var_v_trace.append(stage.var_v.tolist())
             resid_trace.append(stage.resid.tolist())
 
+    n_kept = opts.n_samples * opts.thin * theta.size
+    n_burn = opts.burn_in * theta.size
     return rec.finish({
-        "theta_accept_rate": (n_acc / n_tot) if n_tot else None,
+        "theta_accept_rate": (n_acc_sample / n_kept) if n_kept else None,
+        "theta_accept_rate_burnin": (n_acc_burn / n_burn) if n_burn else None,
         "var_u_trace": var_u_trace,
         "var_v_trace": var_v_trace,
         "resid_trace": resid_trace,

@@ -289,12 +289,24 @@ def test_config_problems_exit_2(tmp_path, capsys, mutate):
     ("hmc", {"n_samples": 2, "burn_in": 2, "infer_hyper": True,
              "exchange": {"inner_sweeps": 4.5}},
      "options.exchange.inner_sweeps"),
+    ("gibecca", {"n_samples": 2, "burn_in": 2, "infer_hypers": False,
+                 "resid_init": -1e6}, "options.resid_init"),
+    ("gibecca", {"n_samples": 2, "burn_in": 2, "resid_init": -1e6},
+     "options.resid_init"),
+    ("gibecca", {"n_samples": 2, "burn_in": 2, "resid_init": 0.0},
+     "options.resid_init"),
+    ("gibecca", {"n_samples": 2, "burn_in": 2, "resid_init": float("nan")},
+     "options.resid_init"),
+    ("gibecca", {"n_samples": 2, "burn_in": 2, "resid_init": float("inf")},
+     "options.resid_init"),
 ])
 def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
                                            value, field):
     """A string for layout.mean_row used to fit a mean row, thin 0 gave an
-    empty chain, n_leapfrog 0 a traceback, restarts 0 a FitError and
-    inner_sweeps 0 or 1 a stationarity check on empty halves."""
+    empty chain, n_leapfrog 0 a traceback, restarts 0 a FitError,
+    inner_sweeps 0 or 1 a stationarity check on empty halves and a
+    resid_init that is not finite and positive a chain that never
+    accepts or a StageError."""
     cfg = _valid_fit_config(tmp_path)
     if section == "layout":
         cfg["layout"].update(value)

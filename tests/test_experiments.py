@@ -57,6 +57,13 @@ def test_make_recipe_config_coercion_and_seed():
     ("cca-knn", {"n_samples": -3}),
     ("epls-vs-sepca", {"n_replicates": 2.5}),
     ("cca-knn", {"burn_in": True}),
+    ("cca-knn", {"n_replicates": 0}),
+    ("beta-sweep", {"n_points": 0}),
+    ("beta-sweep", {"cv_folds": 1}),
+    ("cca-knn", {"knn_folds": 1}),
+    ("cca-knn", {"knn_k": 0}),
+    ("epls-vs-sepca", {"sepca_components": [1.5]}),
+    ("epls-vs-sepca", {"sepca_components": [2, True]}),
 ])
 def test_make_recipe_config_rejects(name, overrides):
     with pytest.raises(ConfigError):
