@@ -2,8 +2,7 @@
 family data, with MAP and MCMC inference over a composite conjugate plus
 Gaussian prior."""
 
-from .chains import Chain, load_chain, load_state, save_chain, save_state, \
-    shared_latent_mean
+from .chains import Chain, load_chain, save_chain, shared_latent_mean
 from .evaluation import (CoupledData, MaskError, StatError, generate_coupled,
                          heldout_loglik, knn_latent_error,
                          paired_significance, prediction_error,
@@ -34,11 +33,10 @@ __all__ = [
     "StatError", "SupportError", "assemble_theta", "cv_select_hyperparams",
     "exchange_update_hyper", "fit_map", "generate_coupled", "get_family",
     "gibbs_gaussian_stage", "heldout_loglik", "hmc_step", "knn_latent_error",
-    "load_chain", "load_observations", "load_state", "log_density",
-    "log_likelihood",
+    "load_chain", "load_observations", "log_density", "log_likelihood",
     "log_likelihood_theta", "make_layout", "mh_accept_elements",
     "paired_significance", "predict_target", "prediction_error",
     "propose_theta_rows", "run_gibecca", "run_hmc_chain",
-    "sample_prior_approx", "save_chain", "save_state", "shared_latent_mean",
+    "sample_prior_approx", "save_chain", "shared_latent_mean",
     "time_between_uncorrelated",
 ]

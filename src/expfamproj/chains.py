@@ -2,9 +2,10 @@
 
 A Chain stores post-burn-in samples of the factor state (and, when the
 sampler infers them, the prior hyperparameters), together with a wall
-clock and a scalar log-likelihood trace.  Persistence writes one flat
-little-endian float64 binary file per sample plus a JSON manifest, so
-reruns with the same seed can be compared byte for byte.
+clock and a scalar log-likelihood trace.  A MAP fit is the one-sample
+case.  Persistence writes one flat little-endian float64 binary file per
+sample plus a JSON manifest, so reruns with the same seed can be
+compared byte for byte.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ def _fields(man):
     fields = [("u", (n, k)), ("v", (k, d))]
     if man["has_mean"]:
         fields.append(("mean_row", (d,)))
-    if man.get("has_theta"):
+    if man["has_theta"]:
         fields.append(("theta", (n, d)))
-    if man.get("has_hyper"):
+    if man["has_hyper"]:
         r = man["n_views"]
         fields += [("sigma_u", (k,)), ("sigma_v", (k,)), ("lam", (r,)),
                    ("nu", (r,))]
@@ -233,7 +234,7 @@ def load_chain(dirpath) -> Chain:
     fields = _fields(man)
     states = []
     hypers = [] if man["has_hyper"] else None
-    thetas = [] if man.get("has_theta") else None
+    thetas = [] if man["has_theta"] else None
     for i in range(man["n_samples"]):
         f = _read_fields(os.path.join(dirpath, f"sample_{i:06d}.bin"),
                          fields)
@@ -249,30 +250,7 @@ def load_chain(dirpath) -> Chain:
                                     gamma=man["gamma"]))
     chain = Chain(states, np.asarray(man["wall_clock"]),
                   np.asarray(man["loglik"]), hypers, thetas,
-                  man.get("stats", {}), man.get("meta", {}))
+                  man["stats"], man["meta"])
     chain.validate()
     return chain
 
-
-def save_state(state: FactorState, dirpath, extra=None):
-    """Persist a single factor state (MAP result) with a manifest."""
-    os.makedirs(dirpath, exist_ok=True)
-    manifest = {
-        "format": FORMAT_VERSION,
-        "n_rows": int(state.u.shape[0]),
-        "k_total": int(state.u.shape[1]),
-        "d_total": int(state.v.shape[1]),
-        "has_mean": state.mean_row is not None,
-    }
-    _write_fields(os.path.join(dirpath, "state.bin"), _fields(manifest),
-                  {"u": state.u, "v": state.v, "mean_row": state.mean_row})
-    if extra:
-        manifest["extra"] = extra
-    with open(os.path.join(dirpath, "state_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-
-
-def load_state(dirpath) -> FactorState:
-    man = _read_manifest(os.path.join(dirpath, "state_manifest.json"))
-    f = _read_fields(os.path.join(dirpath, "state.bin"), _fields(man))
-    return FactorState(f["u"], f["v"], f.get("mean_row"))

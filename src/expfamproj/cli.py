@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .chains import save_chain, save_state
+from .chains import Chain, save_chain
 from .evaluation import generate_coupled, heldout_loglik
 from .expfam import ConjugateHyper, DomainError, SupportError
 from .experiments import (RECIPES, coerce_fields, expect_bool,
@@ -25,7 +25,8 @@ from .gibecca import GibeccaOptions, run_gibecca
 from .hmc_infer import ChainError, ExchangeOptions, HmcOptions, run_hmc_chain
 from .map_infer import FitError, FoldInError, MapOptions, fit_map
 from .model import (ConfigError, LayoutError, ShapeError, as_int,
-                    assemble_theta, load_observations, make_layout)
+                    assemble_theta, load_observations, log_likelihood_theta,
+                    make_layout)
 from .prior import PriorSpec
 from .spect import ParseError, load_or_fallback, make_holdout
 
@@ -217,18 +218,20 @@ def cmd_fit(cfg, args):
     summary = {"engine": engine, "seed": getattr(opts, "seed", None)}
     if engine == "map":
         fit = fit_map(obs, layout, spec, opts)
-        save_state(fit.state, args.out,
-                   extra={"objective": fit.objective,
-                          "converged": fit.converged, "status": fit.status})
-        summary.update(objective=fit.objective, converged=fit.converged,
-                       status=fit.status, n_iter=fit.n_iter,
+        loglik = log_likelihood_theta(obs, assemble_theta(fit.state, layout),
+                                      layout)
+        stats = {"objective": fit.objective, "converged": fit.converged,
+                 "status": fit.status}
+        chain = Chain([fit.state], np.zeros(1), np.array([loglik]),
+                      stats=stats, meta={"engine": engine, "seed": opts.seed})
+        summary.update(stats, n_iter=fit.n_iter,
                        restart_objectives=fit.restart_objectives)
     else:
         runner = run_hmc_chain if engine == "hmc" else run_gibecca
         chain = runner(obs, layout, spec, opts)
-        save_chain(chain, os.path.join(args.out, "chain"), layout)
         summary.update(n_samples=chain.n_samples,
                        stats=_scalar_stats(chain.stats), meta=chain.meta)
+    save_chain(chain, os.path.join(args.out, "chain"), layout)
     _write_summary(args.out, summary, notice)
     print(f"fit: engine={engine} -> {args.out}")
     return 0

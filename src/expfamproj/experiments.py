@@ -5,8 +5,9 @@ Each recipe is a config dataclass plus a runner returning tidy rows
 summary dict with the significance tests, and any chains worth keeping.
 Replicates run in a process pool; every replicate derives its own seeds
 up front from (config seed, replicate index), so results are identical
-whatever the pool size or completion order, and a replicate that throws
-is recorded as a flagged failure row instead of killing the run.
+whatever the pool size or completion order.  A replicate that throws is
+recorded as a flagged failure row instead of killing the run, unless it
+throws a ConfigError: a setting no replicate can run with ends the run.
 """
 
 from __future__ import annotations
@@ -55,9 +56,12 @@ def _row(experiment, replicate, method, components, metric, value,
 
 
 def _guarded(name, worker, args):
-    """worker(args), or a failure row for replicate args[0] if it throws."""
+    """worker(args), or a failure row for replicate args[0] if it throws
+    anything but a ConfigError, which ends the run."""
     try:
         return worker(args)
+    except ConfigError:
+        raise
     except Exception as exc:                      # noqa: BLE001
         traceback.print_exc()
         reason = f"failed: {type(exc).__name__}: {exc}"

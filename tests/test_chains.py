@@ -8,8 +8,8 @@ import pytest
 
 from expfamproj import (Chain, ConjugateHyper, ExchangeOptions, FactorState,
                         GibeccaOptions, HmcOptions, PriorSpec, load_chain,
-                        load_state, make_layout, run_gibecca, run_hmc_chain,
-                        save_chain, save_state, shared_latent_mean)
+                        make_layout, run_gibecca, run_hmc_chain, save_chain,
+                        shared_latent_mean)
 
 from conftest import dense_observations, make_rng
 
@@ -153,42 +153,18 @@ def test_load_chain_rejects_unknown_format(tmp_path):
         load_chain(tmp_path / "f")
 
 
-@pytest.mark.parametrize("name", ["state.bin", "sample_000000.bin"])
+@pytest.mark.parametrize("name", ["sample_000000.bin"])
 @pytest.mark.parametrize("extra", [-5, 5])
 def test_loaders_reject_a_file_of_the_wrong_length(tmp_path, name, extra):
-    """A file with values cut off or appended fails naming the file; an
-    over-long state.bin used to load without error."""
+    """A file with values cut off or appended fails naming the file."""
     lay = make_layout("epls", (1, 3), (1, 1), ("gaussian", "gaussian"))
     chain = _toy_chain(2, lay, seed=9, with_hypers=True, with_thetas=True)
     save_chain(chain, tmp_path, lay)
-    save_state(chain.states[0], tmp_path)
     path = tmp_path / name
     flat = np.fromfile(path, dtype="<f8")
     (np.r_[flat, np.ones(extra)] if extra > 0 else flat[:extra]).tofile(path)
-    load = load_state if name == "state.bin" else load_chain
     with pytest.raises(ValueError, match=name):
-        load(tmp_path)
-
-
-def test_load_state_rejects_unknown_format(tmp_path):
-    save_state(FactorState(np.ones((2, 1)), np.ones((1, 3))), tmp_path)
-    manifest = tmp_path / "state_manifest.json"
-    manifest.write_text(manifest.read_text().replace('"format": 1',
-                                                     '"format": 99'))
-    with pytest.raises(ValueError, match="state_manifest.json"):
-        load_state(tmp_path)
-
-
-def test_state_round_trip(tmp_path):
-    rng = make_rng(13, 7)
-    state = FactorState(rng.standard_normal((5, 2)),
-                        rng.standard_normal((2, 4)),
-                        rng.standard_normal(4))
-    save_state(state, tmp_path / "s", extra={"objective": 1.25})
-    back = load_state(tmp_path / "s")
-    assert np.array_equal(state.u, back.u)
-    assert np.array_equal(state.v, back.v)
-    assert np.array_equal(state.mean_row, back.mean_row)
+        load_chain(tmp_path)
 
 
 def test_identical_seeds_give_identical_chains():

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from expfamproj.chains import load_chain, load_state
-from expfamproj.cli import main
+from expfamproj import assemble_theta, fit_map, log_likelihood_theta
+from expfamproj.chains import load_chain
+from expfamproj.cli import (build_layout, build_options, build_prior,
+                            load_data, main)
 
 from conftest import make_rng
 
@@ -57,7 +59,7 @@ def test_fit_map_writes_state_and_summary(tmp_path, capsys):
     assert code == 0
     assert "fit: engine=map" in capsys.readouterr().out
 
-    state = load_state(out)
+    state, = load_chain(out / "chain").states
     assert state.u.shape == (10, 2)
     assert state.v.shape == (2, 5)
     summary = json.loads((out / "summary.json").read_text())
@@ -67,6 +69,37 @@ def test_fit_map_writes_state_and_summary(tmp_path, capsys):
     assert np.isfinite(summary["objective"])
     assert len(summary["restart_objectives"]) == 2
     assert min(summary["restart_objectives"]) == summary["objective"]
+
+
+def test_fit_map_saves_a_one_sample_chain(tmp_path):
+    """The MAP state, its log-likelihood and the fit's status persist as
+    a one-sample chain, here with a mean row."""
+    csv_path, desc_path = _csv_dataset(tmp_path, seed=2)
+    payload = _map_fit_config(tmp_path, csv_path, desc_path)
+    payload["layout"]["mean_row"] = True
+    cfg = _write_json(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+
+    obs, _ = load_data(payload["data"])
+    layout = build_layout(payload["layout"])
+    fit = fit_map(obs, layout, build_prior(payload["prior"]),
+                  build_options("map", payload["options"],
+                                seed=payload["seed"]))
+    chain = load_chain(out / "chain")
+    state, = chain.states
+    assert np.array_equal(state.u, fit.state.u)
+    assert np.array_equal(state.v, fit.state.v)
+    assert state.mean_row is not None
+    assert np.array_equal(state.mean_row, fit.state.mean_row)
+    assert chain.hypers is None and chain.thetas is None
+    assert chain.wall_clock.tolist() == [0.0]
+    assert chain.loglik.tolist() == [log_likelihood_theta(
+        obs, assemble_theta(fit.state, layout), layout)]
+    summary = json.loads((out / "summary.json").read_text())
+    assert chain.stats == {k: summary[k]
+                           for k in ("objective", "converged", "status")}
+    assert chain.meta == {"engine": "map", "seed": 3}
 
 
 def test_fit_gibecca_on_shared_factor_layout(tmp_path):
@@ -102,8 +135,18 @@ def test_fit_rerun_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["fit", "--config", cfg, "--out", str(a)]) == 0
     assert main(["fit", "--config", cfg, "--out", str(b)]) == 0
-    for name in ("state.bin", "state_manifest.json", "summary.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def assert_same_outputs(a, b, n_samples):
+        names = ["summary.json"] + [f"chain/sample_{i:06d}.bin"
+                                    for i in range(n_samples)]
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        man_a = json.loads((a / "chain/manifest.json").read_text())
+        man_b = json.loads((b / "chain/manifest.json").read_text())
+        man_a.pop("wall_clock"), man_b.pop("wall_clock")
+        assert man_a == man_b
+
+    assert_same_outputs(a, b, 1)
 
     gib = dict(base, engine="gibecca",
                options={"n_samples": 25, "burn_in": 15})
@@ -111,13 +154,7 @@ def test_fit_rerun_is_deterministic(tmp_path):
     c, d = tmp_path / "c", tmp_path / "d"
     assert main(["fit", "--config", cfg2, "--out", str(c)]) == 0
     assert main(["fit", "--config", cfg2, "--out", str(d)]) == 0
-    for i in range(25):
-        name = f"chain/sample_{i:06d}.bin"
-        assert (c / name).read_bytes() == (d / name).read_bytes()
-    man_c = json.loads((c / "chain/manifest.json").read_text())
-    man_d = json.loads((d / "chain/manifest.json").read_text())
-    man_c.pop("wall_clock"), man_d.pop("wall_clock")
-    assert man_c == man_d
+    assert_same_outputs(c, d, 25)
 
 
 # ------------------------------------------------------------------- impute
@@ -402,6 +439,24 @@ def test_unknown_recipe_exits_2(tmp_path, capsys):
     assert main(["experiment", "--config", path,
                  "--out", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_config_error_inside_a_replicate_exits_2(tmp_path, capsys, jobs):
+    """knn_k of at least the row count fails only when a replicate scores
+    its first latent; that used to become a failure row and exit 0."""
+    cfg = _write_json(tmp_path / "cfg.json", {
+        "recipe": "cca-knn",
+        "overrides": {"n_replicates": 2, "n_rows": 12, "d1": 4, "d2": 4,
+                      "k_specific": 1, "n_samples": 4, "burn_in": 4,
+                      "knn_k": 12, "knn_folds": 2, "map_max_iter": 10,
+                      "data_families": ["poisson"]}})
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", cfg, "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert ("config error: n_neighbors = 12 needs more than 12 rows"
+            in capsys.readouterr().err)
+    assert not (out / "cca-knn.csv").exists()
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
