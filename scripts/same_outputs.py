@@ -16,8 +16,10 @@ both checkouts run the same configs against their own src/.
 The two output trees are then compared file by file.  Only wall-clock
 values are ignored: ``wall_clock`` in chain manifests, the value of the
 ``uncorrelated_seconds`` rows of a recipe CSV, and ``mean_seconds`` /
-``gibecca_faster`` in the sampler-bench summary.  Exits 0 when every file
-matches and 1 on any difference, missing file or failed run.
+``gibecca_faster`` in the sampler-bench summary.  A differing JSON or CSV
+file is printed with its first difference: the key path or the line and
+column, with the parent's value and then the change's.  Exits 0 when
+every file matches and 1 on any difference, missing file or failed run.
 """
 
 import argparse
@@ -139,6 +141,45 @@ def _normalised(path):
     return rows
 
 
+def first_difference(a, b, where=""):
+    """Where JSON values a (parent) and b (change) first differ, walked by
+    key and index, as 'path: a-value != b-value'; None when equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            path = f"{where}.{key}" if where else key
+            if key not in a or key not in b:
+                return f"{path}: only in {'parent' if key in a else 'change'}"
+            found = first_difference(a[key], b[key], path)
+            if found:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, f"{where}[{i}]")
+            if found:
+                return found
+        if len(a) != len(b):
+            return f"{where}: {len(a)} items != {len(b)}"
+        return None
+    if json.dumps(a) != json.dumps(b):
+        return f"{where}: {a!r} != {b!r}"
+    return None
+
+
+def _csv_difference(a, b):
+    """Where CSV rows a (parent) and b (change) first differ, as 'line L,
+    column: a-value != b-value', the column named by the header line."""
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            header = a[0] if i and len(a[0]) == len(x) else None
+            for j, (u, v) in enumerate(zip(x, y)):
+                if u != v:
+                    col = header[j] if header else f"column {j + 1}"
+                    return f"line {i + 1}, {col}: {u!r} != {v!r}"
+            return f"line {i + 1}: {len(x)} fields != {len(y)}"
+    return f"{len(a)} lines != {len(b)}"
+
+
 def compare(parent, change):
     """(identical, equal without wall-clock values, problems) over the
     union of both trees' files."""
@@ -154,11 +195,19 @@ def compare(parent, change):
         a, b = os.path.join(parent, rel), os.path.join(change, rel)
         if filecmp.cmp(a, b, shallow=False):
             identical += 1
-        elif (rel.endswith((".json", ".csv"))
-              and _normalised(a) == _normalised(b)):
-            equal += 1
-        else:
+            continue
+        if not rel.endswith((".json", ".csv")):
             problems.append(f"differs: {rel}")
+            continue
+        old, new = _normalised(a), _normalised(b)
+        if old == new:
+            equal += 1
+        elif rel.endswith(".json"):
+            problems.append(f"differs: {rel}: "
+                            + first_difference(json.loads(old),
+                                               json.loads(new)))
+        else:
+            problems.append(f"differs: {rel}: {_csv_difference(old, new)}")
     return identical, equal, problems
 
 

@@ -110,6 +110,15 @@ def heldout_loglik(thetas, obs: ObservationSet, held_mask: np.ndarray,
     return float(special.logsumexp(lls) - np.log(lls.size))
 
 
+def check_knn_counts(n_neighbors, folds, n):
+    """ConfigError unless n rows allow n_neighbors neighbours and folds."""
+    if n_neighbors >= n:
+        raise ConfigError(f"n_neighbors = {n_neighbors} needs more than "
+                          f"{n} rows")
+    if folds < 2 or folds > n:
+        raise ConfigError(f"cannot make {folds} folds from {n} rows")
+
+
 def knn_latent_error(u: np.ndarray, labels: np.ndarray, n_neighbors=9,
                      folds=5, seed=0) -> float:
     """Cross-validated nearest-neighbour error of labels in latent space.
@@ -122,11 +131,7 @@ def knn_latent_error(u: np.ndarray, labels: np.ndarray, n_neighbors=9,
     n = u.shape[0]
     if labels.shape[0] != n:
         raise ValueError("labels do not match the latent rows")
-    if n_neighbors >= n:
-        raise ConfigError(f"n_neighbors = {n_neighbors} needs more than "
-                          f"{n} rows")
-    if folds < 2 or folds > n:
-        raise ConfigError(f"cannot make {folds} folds from {n} rows")
+    check_knn_counts(n_neighbors, folds, n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     order = rng.permutation(n)
     wrong = 0

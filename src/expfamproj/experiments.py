@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import Chain, shared_latent_mean
-from .evaluation import (generate_coupled, heldout_loglik, knn_latent_error,
-                         paired_significance, prediction_error,
-                         time_between_uncorrelated)
+from .evaluation import (check_knn_counts, generate_coupled, heldout_loglik,
+                         knn_latent_error, paired_significance,
+                         prediction_error, time_between_uncorrelated)
 from .expfam import ConjugateHyper, get_family
 from .gibecca import GibeccaOptions, run_gibecca
 from .hmc_infer import HmcOptions, run_hmc_chain
@@ -297,6 +297,10 @@ class CcaKnnConfig:
     map_max_iter: int = 500
     data_families: tuple = ("poisson", "bernoulli")
     seed: int = 0
+
+    def __post_init__(self):
+        # every replicate scores n_rows latent rows: refuse before any runs
+        check_knn_counts(self.knn_k, self.knn_folds, self.n_rows)
 
 
 def _gaussian_view(obs: ObservationSet) -> ObservationSet:

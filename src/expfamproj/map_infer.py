@@ -8,9 +8,10 @@ minimised by conjugate gradients over the free coordinates (all of U, the
 unmasked entries of V, and the mean row when the layout has one), which
 FreeParams.objective hands to minimize_cg; FreeParams.log_density hands
 HMC the posterior itself.  The likelihood and the conjugate prior term
-come together from the model's EntryTerms, whose N x D value matrix is
-reduced by a single sum, so that a two-view layout with unit alpha
-produces bit-identical numbers to the equivalent single-view layout.
+come together from the model's EntryTerms as one conjugate kernel per
+entry, a theta - b g(theta) + c, whose N x D value matrix is reduced by a
+single sum, so that a two-view layout with unit alpha produces
+bit-identical numbers to the equivalent single-view layout.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ into a shared block and per-view specific blocks:
     ecca    shared block on both views plus one specific block per view
 
 The structural zeros live in a K x D boolean mask on V; entries under the
-mask are pinned to exactly 0.  EntryTerms holds the per-entry
-log-likelihood and conjugate-kernel terms that every engine scores Theta
-with.
+mask are pinned to exactly 0.  EntryTerms scores every entry of Theta,
+for every engine, as one conjugate kernel a theta - b g(theta) + c whose
+coefficients carry the data.
 """
 
 from __future__ import annotations
@@ -270,33 +270,38 @@ class ObservationSet:
 class EntryTerms:
     """The per-entry log terms every engine scores, view by view.
 
-    Entry (n, d) of view i contributes
+    Entry (n, d) of view i contributes its weighted log-likelihood plus
+    the beta-weighted conjugate kernel, itself a conjugate kernel:
 
-        w_i * [observed] * (x theta + h(x) - g(theta))
-            + beta * (lam_i theta - nu_i g(theta)),
+        w_i [obs] (x theta + h(x) - g(theta))
+            + beta (lam_i theta - nu_i g(theta))  =  a theta - b g(theta) + c
 
-    the weighted log-likelihood plus the beta-weighted conjugate kernel.
-    Without data (x is None) only the kernel is scored, with beta = 0 only
-    the likelihood, and with neither nothing (no domain check either).
-    The column slices cols partition the columns of theta.  Views hold
-    slices of x and mask, not copies, and h(x) computed once (None where
-    it is zero throughout, as for Bernoulli and exponential data, so it is
-    neither stored nor added), so one kernel serves every evaluation on
-    the same data.
+    with a = w_i [obs] x + beta lam_i, b = w_i [obs] + beta nu_i and c =
+    w_i [obs] h(x) computed once per view: scalars without data (x None),
+    b a scalar where the view is fully observed, c None where it is zero
+    throughout (Bernoulli and exponential data), so never added.  An
+    entry with b = 0 (unobserved at beta = 0) adds exactly 0 to every
+    term, even where g overflows.  With neither data nor beta > 0 nothing
+    is scored (no domain check either).  The column slices cols partition
+    the columns of theta.
     """
 
     def __init__(self, families, cols, x=None, mask=None, weights=None,
                  beta=0.0, hypers=None):
-        self.beta = beta
-        self.views = [
-            (fam, c, None if x is None else x[:, c],
-             None if x is None else _nonzero_or_none(fam._h(x[:, c])),
-             None if x is None else mask[:, c],
-             1.0 if weights is None else weights[i],
-             hypers[i].lam if beta > 0 else 0.0,
-             hypers[i].nu if beta > 0 else 0.0)
-            for i, (fam, c) in enumerate(zip(families, cols))
-            if x is not None or beta > 0]
+        self.views = []
+        if x is None and not beta > 0:
+            return
+        for i, (fam, view) in enumerate(zip(families, cols)):
+            w = 1.0 if weights is None else weights[i]
+            lam, nu = (hypers[i].lam, hypers[i].nu) if beta > 0 else (0, 0)
+            a, b, c = beta * lam, beta * nu, None
+            if x is not None:
+                m = mask[:, view]
+                a = np.where(m, x[:, view], 0.0) * w + beta * lam
+                b = w + b if m.all() else np.where(m, w + b, b)
+                c = np.where(m, fam._h(x[:, view]), 0.0) * w
+            self.views.append((fam, view, a, b, _nonzero_or_none(c),
+                               _nonzero_or_none(b == 0)))
 
     def _alloc(self, theta):
         """An array shaped like theta for per-entry output: the views
@@ -330,47 +335,36 @@ class EntryTerms:
     def _score(self, theta, check):
         vals = self._alloc(theta)
         gs = []
-        for fam, cols, x, h, m, w, lam, nu in self.views:
+        for fam, cols, a, b, c, unscored in self.views:
             t = theta[..., cols]
             if check and not np.all(fam.in_domain(t)):
                 return None
-            g = fam._g(t)
-            val = 0.0
-            if x is not None:
-                val = np.where(m, _x_theta_plus_h(x, t, h) - g, 0.0) * w
-            if self.beta > 0:
-                val = val + self.beta * (lam * t - nu * g)
-            vals[..., cols] = val
+            g = _zero_at(fam._g(t), unscored)
+            val = vals[..., cols]
+            np.multiply(a, _zero_at(t, unscored), out=val)
+            val -= b * g
+            if c is not None:
+                val += c
             gs.append(g)
         return vals, gs
 
     def slopes(self, theta, gs):
         """d values / d theta, shaped like theta, from theta and the
-        per-view g(theta) that score returned for it."""
+        per-view g(theta) that score returned for it: a - b g'(theta)."""
         grad = self._alloc(theta)
-        for (fam, cols, x, h, m, w, lam, nu), g in zip(self.views, gs):
+        for (fam, cols, a, b, c, unscored), g in zip(self.views, gs):
             _, mu = fam._g_and_gprime(theta[..., cols], g)
-            dval = 0.0
-            if x is not None:
-                dval = np.where(m, x - mu, 0.0) * w
-            if self.beta > 0:
-                dval = dval + self.beta * (lam - nu * mu)
-            grad[..., cols] = dval
+            np.subtract(a, b * _zero_at(mu, unscored), out=grad[..., cols])
         return grad
 
     def curvature(self, theta):
         """Minus the second derivative of the entry terms wrt theta,
-        shaped like theta: w * [observed] * g''(theta) + beta * nu *
-        g''(theta).  Every entry of theta must lie in the domain."""
+        shaped like theta: b g''(theta).  Every entry of theta must lie
+        in the domain."""
         out = self._alloc(theta)
-        for fam, cols, x, h, m, w, lam, nu in self.views:
-            g2 = fam._gsecond(theta[..., cols])
-            c = 0.0
-            if x is not None:
-                c = np.where(m, g2, 0.0) * w
-            if self.beta > 0:
-                c = c + self.beta * nu * g2
-            out[..., cols] = c
+        for fam, cols, a, b, c, unscored in self.views:
+            g2 = _zero_at(fam._gsecond(theta[..., cols]), unscored)
+            np.multiply(b, g2, out=out[..., cols])
         return out
 
     def value(self, theta):
@@ -389,33 +383,30 @@ class EntryTerms:
         return float(sums) if sums.ndim == 0 else sums
 
     def log_ratio(self, old, star):
-        """Per-entry log ratio of the terms at star over those at old;
-        -inf where star leaves the domain."""
+        """Per-entry log ratio of the terms at star over those at old,
+        a (star - old) - b (g(star) - g(old)); -inf where star leaves the
+        domain."""
         out = self._alloc(old)
-        for fam, cols, x, h, m, w, lam, nu in self.views:
+        for fam, cols, a, b, c, unscored in self.views:
             o, s = old[:, cols], star[:, cols]
             dom = fam.in_domain(s)
             s = np.where(dom, s, o)
-            g_s, g_o = fam._g(s), fam._g(o)
-            r = 0.0
-            if x is not None:
-                r = np.where(m, (_x_theta_plus_h(x, s, h) - g_s)
-                             - (_x_theta_plus_h(x, o, h) - g_o), 0.0) * w
-            if self.beta > 0:
-                r = r + self.beta * (lam * (s - o) - nu * (g_s - g_o))
+            dg = _zero_at(fam._g(s), unscored) - _zero_at(fam._g(o), unscored)
+            r = a * (s - o) - b * dg
             out[:, cols] = np.where(dom, r, -np.inf)
         return out
 
 
-def _nonzero_or_none(h):
-    """h(x), or None when it has no nonzero entry: adding its zeros
+def _nonzero_or_none(arr):
+    """arr, or None when it has no nonzero entry: adding its zeros
     changes no value, at most the sign of a zero result."""
-    return h if np.any(h) else None
+    return arr if np.any(arr) else None
 
 
-def _x_theta_plus_h(x, theta, h):
-    xt = x * theta
-    return xt if h is None else xt + h
+def _zero_at(arr, unscored):
+    """arr, or a copy that is 0 at the unscored entries: every term is +0
+    there, even where arr overflowed."""
+    return arr if unscored is None else np.where(unscored, 0.0, arr)
 
 
 def likelihood_terms(obs: ObservationSet, layout: BlockLayout) -> EntryTerms:
@@ -453,8 +444,8 @@ def log_pdf_sum_at(obs: ObservationSet, theta: np.ndarray,
                    layout: BlockLayout, mask: np.ndarray) -> float:
     """Unweighted sum of log p(x | theta) over the entries picked by mask.
 
-    Used for held-out scoring, so no alpha weighting is applied.  Each
-    view's picked entries are summed on their own, in row-major order.
+    Used for held-out scoring, so no alpha weighting is applied; every
+    entry not picked scores exactly 0.
     """
     if mask.shape != obs.x.shape:
         raise ShapeError("mask shape does not match the data")
@@ -462,10 +453,7 @@ def log_pdf_sum_at(obs: ObservationSet, theta: np.ndarray,
                      mask).terms(theta)
     if out is None:
         raise DomainError("natural parameter outside the family domain")
-    total = 0.0
-    for cols in layout.cols_view[:layout.n_views]:
-        total += float(np.sum(out[0][:, cols][mask[:, cols]]))
-    return total
+    return float(np.sum(out[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from expfamproj import assemble_theta, fit_map, log_likelihood_theta
+from expfamproj import (assemble_theta, experiments, fit_map,
+                        log_likelihood_theta)
 from expfamproj.chains import load_chain
 from expfamproj.cli import (build_layout, build_options, build_prior,
                             load_data, main)
@@ -443,8 +444,8 @@ def test_unknown_recipe_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_config_error_inside_a_replicate_exits_2(tmp_path, capsys, jobs):
-    """knn_k of at least the row count fails only when a replicate scores
-    its first latent; that used to become a failure row and exit 0."""
+    """knn_k of at least the row count is a config error whatever the
+    pool size; it used to become a failure row and exit 0."""
     cfg = _write_json(tmp_path / "cfg.json", {
         "recipe": "cca-knn",
         "overrides": {"n_replicates": 2, "n_rows": 12, "d1": 4, "d2": 4,
@@ -457,6 +458,29 @@ def test_config_error_inside_a_replicate_exits_2(tmp_path, capsys, jobs):
     assert ("config error: n_neighbors = 12 needs more than 12 rows"
             in capsys.readouterr().err)
     assert not (out / "cca-knn.csv").exists()
+
+
+@pytest.mark.parametrize("counts, message", [
+    ({"knn_k": 12, "knn_folds": 2}, "n_neighbors = 12 needs more than 12"),
+    ({"knn_k": 3, "knn_folds": 13}, "cannot make 13 folds from 12 rows"),
+])
+def test_knn_counts_are_checked_before_any_chain(tmp_path, capsys,
+                                                 monkeypatch, counts,
+                                                 message):
+    """cca-knn refuses knn_k or knn_folds that its n_rows cannot serve
+    when it reads the config: exit 2 without running a chain."""
+    calls = []
+    monkeypatch.setattr(experiments, "run_gibecca",
+                        lambda *args, **kw: calls.append(args))
+    cfg = _write_json(tmp_path / "cfg.json", {
+        "recipe": "cca-knn",
+        "overrides": dict(counts, n_replicates=2, n_rows=12, d1=4, d2=4,
+                          k_specific=1, n_samples=4, burn_in=4,
+                          map_max_iter=10, data_families=["poisson"])})
+    assert main(["experiment", "--config", cfg,
+                 "--out", str(tmp_path / "out"), "--jobs", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

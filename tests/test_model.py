@@ -357,9 +357,10 @@ def test_entry_terms_skip_zero_base_measure_bit_for_bit(families):
     for beta in (0.0, 0.3):
         terms = EntryTerms(fams, cols, x, mask, (1.0, 0.7), beta, hypers)
         kept = EntryTerms(fams, cols, x, mask, (1.0, 0.7), beta, hypers)
-        kept.views = [(fam, c, xv, fam._h(xv), *rest)
-                      for fam, c, xv, _, *rest in kept.views]
-        assert [view[3] is None for view in terms.views] == [
+        kept.views = [(fam, c, a, b, np.zeros(x[:, c].shape)
+                       if base is None else base, unscored)
+                      for fam, c, a, b, base, unscored in kept.views]
+        assert [view[4] is None for view in terms.views] == [
             fam.name in ("bernoulli", "exponential") for fam in fams]
         star = theta + 0.1 * make_rng(4, 7).standard_normal(theta.shape)
         star[:, 3:] = fams[1].to_domain(star[:, 3:])
@@ -408,6 +409,19 @@ def test_entry_terms_without_data_or_beta_score_nothing():
     terms = EntryTerms(fams, (slice(0, 3),), beta=0.0)
     assert terms.value(theta) == 0.0
     assert np.all(terms.log_ratio(theta, theta) == 0.0)
+    # an unobserved entry at beta = 0 adds exactly 0 to the value, slope
+    # and curvature, with no warning even where g(theta) = e^800 overflows
+    terms = EntryTerms((get_family("poisson"),), (slice(0, 2),),
+                       np.array([[1.0, 3.0]]), np.array([[True, False]]))
+    theta = np.array([[0.2, 800.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, grad = terms.terms(theta, want_grad=True)
+        curv = terms.curvature(theta)
+        total = terms.value(theta)
+    assert total == pytest.approx(0.2 - np.exp(0.2), rel=1e-12)
+    assert vals[0, 1] == grad[0, 1] == curv[0, 1] == 0.0
+    assert np.isfinite(vals[0, 0] + grad[0, 0] + curv[0, 0])
 
 
 # ------------------------------------------------------------ observations

@@ -259,23 +259,25 @@ def test_prepared_kernel_gives_the_same_density(families, alpha, beta):
 def _reference_density(state, obs, lay, spec):
     """log_density with its gradients computed from scratch: each view's
     _g, _gprime and _h on its columns, the Gaussian blocks from the spec,
-    in log_density's order of operations."""
+    in log_density's order of operations.  An entry scores the conjugate
+    kernel a t - b g(t) + c with a = alpha [obs] x + beta lam, b = alpha
+    [obs] + beta nu and c = alpha [obs] h(x); one with b = 0 scores 0."""
     theta = state.u @ state.v
     if lay.use_mean_row:
         theta = theta + state.mean_row
     vals, w = np.empty_like(theta), np.empty_like(theta)
     for i, (fam, cols) in enumerate(zip(lay.families, lay.cols_view)):
         t, x, m = theta[:, cols], obs.x[:, cols], obs.observed[:, cols]
-        h = fam._h(x)
-        xt = x * t + h if np.any(h) else x * t
-        g, mu = fam._g(t), fam._gprime(t)
-        val = np.where(m, xt - g, 0.0) * lay.alpha[i]
-        dval = np.where(m, x - mu, 0.0) * lay.alpha[i]
-        if spec.beta > 0:
-            hyp = spec.hyper_for_view(i)
-            val = val + spec.beta * (hyp.lam * t - hyp.nu * g)
-            dval = dval + spec.beta * (hyp.lam - hyp.nu * mu)
-        vals[:, cols], w[:, cols] = val, dval
+        hyp, alpha = spec.hyper_for_view(i), lay.alpha[i]
+        a = np.where(m, x, 0.0) * alpha + spec.beta * hyp.lam
+        b = np.where(m, alpha + spec.beta * hyp.nu, spec.beta * hyp.nu)
+        c = np.where(m, fam._h(x), 0.0) * alpha
+        off = b == 0
+        g = np.where(off, 0.0, fam._g(t))
+        mu = np.where(off, 0.0, fam._gprime(t))
+        val = a * np.where(off, 0.0, t) - b * g
+        vals[:, cols] = val + c if np.any(c) else val
+        w[:, cols] = a - b * mu
     logp = float(np.sum(vals))
     gu, gv = w @ state.v.T, state.u.T @ w
     gm = w.sum(axis=0) if lay.use_mean_row else None
