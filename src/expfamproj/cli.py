@@ -4,11 +4,21 @@ One JSON config per run; the subcommand decides its schema.  Validation
 errors always carry the offending field path.  Exit codes: 0 on success,
 2 for configuration problems, 3 for numeric failures (diverged fits,
 broken chains, singular proposals).
+
+Before it dispatches, main sets the process's allocator policy where libc
+is glibc: freed memory stays in the heap (trim threshold 1 GiB) and
+arrays up to 32 MiB come from the heap rather than fresh mappings.  Each
+posterior evaluation builds and frees N x D temporaries; without this,
+glibc hands them back to the kernel and the next evaluation faults them
+in again.  Forked --jobs workers (Linux's default before Python 3.14)
+inherit the policy; library calls made outside main keep glibc's
+defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -37,6 +47,24 @@ CONFIG_FAILURES = (ConfigError, ParseError, LayoutError, ShapeError,
 # StageError, MaskError and LinAlgError are ValueErrors
 NUMERIC_FAILURES = (FitError, FoldInError, ChainError, FloatingPointError,
                     OverflowError, ValueError)
+
+
+# glibc's mallopt parameters (malloc.h); 32 MiB is the ceiling of its
+# dynamic mmap threshold
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory():
+    """Keep freed heap memory for reuse instead of returning it to the
+    kernel; a no-op where libc has no mallopt.  Setting either threshold
+    freezes glibc's self-raising mmap threshold, so both are set: with
+    the trim threshold alone every array over 128 KiB is mapped afresh."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 def _as_dict(value, path):
@@ -317,6 +345,7 @@ def _parser():
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    _keep_freed_memory()
     if args.out is None:
         args.out = f"expfam-out-{args.command}"
     try:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .chains import Chain
-from .model import BlockLayout, ConfigError, ObservationSet, log_pdf_sum_at
+from .model import BlockLayout, ConfigError, ObservationSet, log_pdf_sums_at
 
 
 class MaskError(ValueError):
@@ -105,8 +105,7 @@ def heldout_loglik(thetas, obs: ObservationSet, held_mask: np.ndarray,
         raise MaskError("held-out entries overlap the training mask")
     if len(thetas) == 0:
         raise StatError("no Theta samples")
-    lls = np.array([log_pdf_sum_at(obs, t, layout, held_mask)
-                    for t in thetas])
+    lls = np.array(log_pdf_sums_at(obs, thetas, layout, held_mask))
     return float(special.logsumexp(lls) - np.log(lls.size))
 
 
@@ -193,7 +192,8 @@ def paired_significance(a, b, n_comparisons=1) -> PairedTest:
 
     Degenerate zero-variance differences short-circuit: identical
     replicates give p = 1, a constant nonzero gap gives the smallest
-    positive float.
+    positive float.  Otherwise t and the two-sided p are computed as
+    scipy.stats.ttest_rel computes them, bit for bit.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -206,6 +206,9 @@ def paired_significance(a, b, n_comparisons=1) -> PairedTest:
     if np.allclose(diff, diff[0]):
         p = 1.0 if mean_diff == 0.0 else float(np.finfo(float).tiny)
         return PairedTest(min(1.0, p * n_comparisons), np.inf, mean_diff)
-    t_stat, p = stats.ttest_rel(a, b)
+    n = diff.size
+    var = np.mean((diff - mean_diff) ** 2) * (n / (n - 1))
+    t_stat = mean_diff / np.sqrt(var / n)
+    p = 2 * special.stdtr(n - 1, -abs(t_stat))
     return PairedTest(float(min(1.0, p * n_comparisons)), float(t_stat),
                       mean_diff)

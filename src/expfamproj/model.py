@@ -428,6 +428,12 @@ def log_likelihood_theta(obs: ObservationSet, theta: np.ndarray,
     """
     if kernel is None:
         kernel = likelihood_terms(obs, layout)
+    return _terms_sum(kernel, theta)
+
+
+def _terms_sum(kernel, theta):
+    """The sum of kernel's entry terms at theta; DomainError when theta
+    leaves a family's domain."""
     out = kernel.terms(theta)
     if out is None:
         raise DomainError("natural parameter outside the family domain")
@@ -447,13 +453,16 @@ def log_pdf_sum_at(obs: ObservationSet, theta: np.ndarray,
     Used for held-out scoring, so no alpha weighting is applied; every
     entry not picked scores exactly 0.
     """
+    return log_pdf_sums_at(obs, [theta], layout, mask)[0]
+
+
+def log_pdf_sums_at(obs: ObservationSet, thetas, layout: BlockLayout,
+                    mask: np.ndarray) -> list:
+    """log_pdf_sum_at for each theta in thetas, from one kernel."""
     if mask.shape != obs.x.shape:
         raise ShapeError("mask shape does not match the data")
-    out = EntryTerms(layout.families, layout.cols_view, obs.x,
-                     mask).terms(theta)
-    if out is None:
-        raise DomainError("natural parameter outside the family domain")
-    return float(np.sum(out[0]))
+    kernel = EntryTerms(layout.families, layout.cols_view, obs.x, mask)
+    return [_terms_sum(kernel, theta) for theta in thetas]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Synthetic generator and evaluation metrics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -9,6 +13,7 @@ from expfamproj import (Chain, ConfigError, ConjugateHyper, FactorState,
                         generate_coupled, heldout_loglik, knn_latent_error,
                         make_layout, paired_significance, prediction_error,
                         time_between_uncorrelated)
+from expfamproj import model
 from expfamproj.model import log_pdf_sum_at
 
 from conftest import make_rng
@@ -149,6 +154,27 @@ def test_heldout_loglik_chain_is_logsumexp():
     empty = Chain([], np.array([]), np.array([]))
     with pytest.raises(StatError):
         heldout_loglik(empty.theta_samples(lay), obs, held, lay)
+
+
+def test_heldout_loglik_builds_one_kernel(monkeypatch):
+    lay = make_layout("epca", 6, 2, "poisson")
+    rng = make_rng(16, 11)
+    x = rng.poisson(2.0, size=(8, 6)).astype(float)
+    held = rng.random((8, 6)) < 0.3
+    obs = ObservationSet(x, ~held, lay.view_widths, lay.families)
+    thetas = [0.5 * rng.standard_normal((8, 6)) for _ in range(5)]
+    lls = np.array([log_pdf_sum_at(obs, t, lay, held) for t in thetas])
+    built = []
+    init = model.EntryTerms.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.EntryTerms, "__init__", counting_init)
+    value = heldout_loglik(thetas, obs, held, lay)
+    assert len(built) == 1
+    assert value == float(special.logsumexp(lls) - np.log(5))
 
 
 # --------------------------------------------------------------------- knn
@@ -301,6 +327,31 @@ def test_paired_matches_t_distribution():
     p = 2.0 * stats.t.sf(abs(t), df=9)
     assert out.statistic == pytest.approx(t, rel=1e-10)
     assert out.p_value == pytest.approx(p, rel=1e-10)
+
+
+def test_paired_matches_ttest_rel_bit_for_bit():
+    rng = make_rng(16, 10)
+    for _ in range(2000):
+        n = int(rng.integers(3, 30))
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        b = a + (rng.standard_normal() + rng.standard_normal(n)) \
+            * 10.0 ** rng.integers(-3, 4)
+        k = int(rng.integers(1, 4))
+        out = paired_significance(a, b, n_comparisons=k)
+        t, p = stats.ttest_rel(a, b)
+        assert out.statistic == float(t)
+        assert out.p_value == float(min(1.0, p * k))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(model.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import expfamproj, expfamproj.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_paired_bonferroni_scales_and_caps():
