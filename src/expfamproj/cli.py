@@ -191,8 +191,10 @@ def load_data(d, spect_path=None, path="data"):
             {k: s[k] for k in ("model", "view_widths", "ranks", "families",
                                "alpha") if k in s},
             path=sub)
-        data = _wrap(sub, generate_coupled, layout,
-                     _cast(s, "n_rows", sub, as_int),
+        rows = _cast(s, "n_rows", sub, as_int)
+        if rows < 1:
+            raise ConfigError(f"{sub}.n_rows: must be at least 1, got {rows}")
+        data = _wrap(sub, generate_coupled, layout, rows,
                      seed=_cast(s, "seed", sub, as_int, 0),
                      latent_scale=_cast(s, "latent_scale", sub, float, 1.0),
                      target_scale=_cast(s, "target_scale", sub, float, 1.0))

@@ -464,7 +464,8 @@ _CASTS = {"int": as_int, "float": float, "tuple": _as_tuple,
 # a cross-validation needs two folds.
 _MINIMUMS = {"n_samples": 0, "burn_in": 0, "thin": 1, "n_leapfrog": 1,
              "restarts": 1, "inner_sweeps": 2, "n_replicates": 1,
-             "n_points": 1, "knn_k": 1, "cv_folds": 2, "knn_folds": 2}
+             "n_points": 1, "knn_k": 1, "cv_folds": 2, "knn_folds": 2,
+             "n_rows": 1, "n_train": 1, "n_test": 1}
 
 
 def coerce_fields(cls, values, path, owner, unsettable=()):

@@ -16,6 +16,9 @@ theta and every finite x.  Family derives the conjugate-prior kernel
 which is the log density (up to normalisation) of the standard conjugate
 prior with hyperparameters (lam, nu).
 
+The engines call the unchecked _g, _gprime, _gsecond and _h through
+model.EntryTerms, tested against the checked log_pdf and conj_log_kernel.
+
 All functions broadcast over numpy arrays and accept scalars.
 """
 
@@ -86,22 +89,7 @@ class Family:
         if not np.all(ok):
             raise SupportError(f"{self.name}: observation outside support")
 
-    # the four defining functions -----------------------------------------
-
-    def log_cumulant(self, theta):
-        """g(theta).  Raises DomainError outside the domain."""
-        self._require_domain(theta)
-        return self._g(theta)
-
-    def mean_param(self, theta):
-        """g'(theta), the mean of x under theta."""
-        self._require_domain(theta)
-        return self._gprime(theta)
-
-    def log_base(self, x):
-        """h(x).  Raises SupportError outside the support."""
-        self._require_support(x)
-        return self._h(x)
+    # checked densities ----------------------------------------------------
 
     def log_pdf(self, x, theta):
         """log p(x | theta) = x*theta + h(x) - g(theta)."""
@@ -150,11 +138,11 @@ class Family:
     def _gprime(self, theta):
         raise NotImplementedError
 
-    def _g_and_gprime(self, theta, g=None):
-        """(g(theta), g'(theta)); g, when given, is g(theta) already
-        computed and is returned as it is.  A family whose g' can reuse
-        the work of g overrides this."""
-        return self._g(theta) if g is None else g, self._gprime(theta)
+    def _g_and_gprime(self, theta, g):
+        """(g, g'(theta)) for g = g(theta) already computed, which is
+        returned as it is.  A family whose g' can reuse g overrides
+        this."""
+        return g, self._gprime(theta)
 
     def _gsecond(self, theta):
         """g''(theta), the variance of x under theta."""
@@ -236,9 +224,8 @@ class PoissonLog(Family):
         with np.errstate(over="ignore"):
             return np.exp(theta)
 
-    def _g_and_gprime(self, theta, g=None):
-        # g' = g = e^theta: one exp serves both
-        g = self._g(theta) if g is None else g
+    def _g_and_gprime(self, theta, g):
+        # g' = g = e^theta: the exp already taken serves both
         return g, g
 
     def _gsecond(self, theta):

@@ -231,17 +231,19 @@ def propose_theta_rows(stage: GaussianStageState, layout: BlockLayout,
 
 
 def mh_accept_elements(obs: ObservationSet, theta_old: np.ndarray,
-                       theta_star: np.ndarray, spec: PriorSpec,
-                       rng: np.random.Generator, *, kernel=None):
+                       theta_star: np.ndarray, layout: BlockLayout,
+                       spec: PriorSpec, rng: np.random.Generator, *,
+                       kernel=None):
     """Element-wise MH accept/reject of the proposed Theta.
 
     Returns (theta_new, accepted_mask).  Out-of-domain proposals are
     always rejected; unobserved entries have no likelihood term and accept
-    whenever the proposal is in-domain.  kernel, when given, is
-    spec.entry_terms(None, obs) built once for a whole chain.
+    whenever the proposal is in-domain.  Entries are scored by
+    spec.entry_terms(layout, obs); kernel, when given, is that built once
+    for a whole chain.
     """
     if kernel is None:
-        kernel = spec.entry_terms(None, obs)
+        kernel = spec.entry_terms(layout, obs)
     log_r = kernel.log_ratio(theta_old, theta_star)
     accept = np.log(rng.random(theta_old.shape)) < log_r
     return np.where(accept, theta_star, theta_old), accept
@@ -294,7 +296,7 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
     theta = init_theta(obs, layout, rng)
     stage = init_gaussian_stage(layout, spec, obs.n_rows, rng,
                                 opts.resid_init, opts.fix_v)
-    kernel = spec.entry_terms(None, obs)
+    kernel = spec.entry_terms(layout, obs)
     plan = stage_plan(layout)
 
     var_u_trace, var_v_trace, resid_trace = [], [], []
@@ -308,8 +310,8 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
                                      infer_variances=opts.infer_hypers,
                                      plan=plan)
         theta_star = propose_theta_rows(stage, layout, rng)
-        theta, accepted = mh_accept_elements(obs, theta, theta_star, spec,
-                                             rng, kernel=kernel)
+        theta, accepted = mh_accept_elements(obs, theta, theta_star, layout,
+                                             spec, rng, kernel=kernel)
         if sweep < opts.burn_in:
             n_acc_burn += int(accepted.sum())
         else:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .expfam import ConjugateHyper, DomainError
 from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
-                    ObservationSet, assemble_theta, log_pdf_sum_at)
+                    ObservationSet, assemble_theta, log_pdf_sums_at)
 from .optimize import (ARMIJO_C, ARMIJO_SHRINK, MAX_BACKTRACKS,
                        minimize_cg)
 from .prior import PreparedDensity, PriorSpec, log_density
@@ -325,11 +325,11 @@ def _fold_in(obs, state, layout, spec, max_iter):
     u = np.zeros((n, layout.k_total))
     with np.errstate(over="ignore", invalid="ignore"):
         theta = theta_of(u)
-        out = kernel.terms(theta, want_grad=True)
+        out = kernel.score(theta)
         if out is None or not np.all(np.isfinite(out[0])):
             raise FoldInError("fold-in started infeasible: Theta at u = 0 "
                               "is outside the family domain")
-        f, dlogp = np.sum(out[0], axis=1), out[1]
+        f, dlogp = np.sum(out[0], axis=1), kernel.slopes(theta, out[1])
         active = np.arange(n)
         for it in range(max_iter + 1):
             grad = dlogp[active] @ v.T - prec * u[active]
@@ -352,7 +352,7 @@ def _fold_in(obs, state, layout, spec, max_iter):
                         f"fold-in line search failed in {failed.size} of "
                         f"{n} rows")
                 active = np.delete(active, failed)
-                dlogp = kernel.terms(theta, want_grad=True)[1]
+                dlogp = kernel.slopes(theta, kernel.score(theta)[1])
             if not active.size:
                 return u
     raise FoldInError(f"fold-in not converged in {active.size} of {n} rows "
@@ -377,7 +377,7 @@ def _backtrack(kernel, theta_of, prec, u, theta, f, rows, step, gain):
         trial[idx] = theta_of(u_try)
         ok = kernel.in_domain(trial[:, None, :])
         trial[~ok] = theta[~ok]
-        f_try = (np.sum(kernel.terms(trial)[0][idx], axis=1)
+        f_try = (np.sum(kernel.score(trial)[0][idx], axis=1)
                  - 0.5 * np.sum(prec * u_try * u_try, axis=1))
         f_try[~ok[idx]] = -np.inf
         # the gain itself is tested: added to f, a gain below f's rounding
@@ -424,7 +424,7 @@ def _cv_score(obs, layout, spec, fold_masks, opts):
             return -np.inf
         theta = assemble_theta(fit.state, layout)
         try:
-            total += log_pdf_sum_at(obs, theta, layout, fold)
+            total += log_pdf_sums_at(obs, [theta], layout, fold)[0]
         except DomainError:
             return -np.inf
     return total

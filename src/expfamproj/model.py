@@ -94,9 +94,6 @@ class BlockLayout:
         d1, d2 = self.view_widths
         return (slice(0, d1), slice(d1, d1 + d2))
 
-    def view_cols(self, i):
-        return self.cols_view[i]
-
 
 def make_layout(model_kind, view_widths, ranks, families, alpha=None,
                 use_mean_row=False) -> BlockLayout:
@@ -316,20 +313,10 @@ class EntryTerms:
             ok &= np.all(fam.in_domain(theta[..., cols]), axis=(-2, -1))
         return ok
 
-    def terms(self, theta, want_grad=False):
-        """(values, d values / d theta), each shaped like theta, which may
-        be a stack (..., N, D); the derivative is None unless want_grad.
-        None when any entry leaves the domain of its view's family."""
-        out = self.score(theta)
-        if out is None:
-            return None
-        vals, gs = out
-        return vals, self.slopes(theta, gs) if want_grad else None
-
     def score(self, theta):
-        """(values, gs): the entry values shaped like theta and, per view,
-        g of its columns of theta, for slopes to reuse.  None when any
-        entry leaves the domain of its view's family."""
+        """(values, gs): the entry values shaped like theta (..., N, D)
+        and, per view, g of its columns of theta, for slopes to reuse.
+        None when any entry leaves the domain of its view's family."""
         return self._score(theta, check=True)
 
     def _score(self, theta, check):
@@ -434,7 +421,7 @@ def log_likelihood_theta(obs: ObservationSet, theta: np.ndarray,
 def _terms_sum(kernel, theta):
     """The sum of kernel's entry terms at theta; DomainError when theta
     leaves a family's domain."""
-    out = kernel.terms(theta)
+    out = kernel.score(theta)
     if out is None:
         raise DomainError("natural parameter outside the family domain")
     return float(np.sum(out[0]))
@@ -446,19 +433,14 @@ def log_likelihood(obs: ObservationSet, state: FactorState,
     return log_likelihood_theta(obs, assemble_theta(state, layout), layout)
 
 
-def log_pdf_sum_at(obs: ObservationSet, theta: np.ndarray,
-                   layout: BlockLayout, mask: np.ndarray) -> float:
-    """Unweighted sum of log p(x | theta) over the entries picked by mask.
+def log_pdf_sums_at(obs: ObservationSet, thetas, layout: BlockLayout,
+                    mask: np.ndarray) -> list:
+    """For each theta in thetas, the unweighted sum of log p(x | theta)
+    over the entries picked by mask, all from one kernel.
 
     Used for held-out scoring, so no alpha weighting is applied; every
     entry not picked scores exactly 0.
     """
-    return log_pdf_sums_at(obs, [theta], layout, mask)[0]
-
-
-def log_pdf_sums_at(obs: ObservationSet, thetas, layout: BlockLayout,
-                    mask: np.ndarray) -> list:
-    """log_pdf_sum_at for each theta in thetas, from one kernel."""
     if mask.shape != obs.x.shape:
         raise ShapeError("mask shape does not match the data")
     kernel = EntryTerms(layout.families, layout.cols_view, obs.x, mask)

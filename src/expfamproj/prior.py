@@ -53,15 +53,16 @@ class PriorSpec:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if self.gamma is None:
             object.__setattr__(self, "gamma", 1.0 - self.beta)
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and non-negative, got "
+                             f"{self.gamma}")
         hyp = self.a_hyper
         if isinstance(hyp, ConjugateHyper):
             hyp = (hyp,)
         object.__setattr__(self, "a_hyper", tuple(hyp))
         for s in (np.asarray(self.sigma_u), np.asarray(self.sigma_v)):
-            if not np.all(s > 0):
-                raise ValueError("prior variances must be positive")
+            if not np.all((s > 0) & (s < np.inf)):
+                raise ValueError("prior variances must be positive and finite")
 
     def hyper_for_view(self, i) -> ConjugateHyper:
         if len(self.a_hyper) == 1:
@@ -87,20 +88,13 @@ class PriorSpec:
         return replace(self, **kw)
 
     def entry_terms(self, layout: BlockLayout, obs=None) -> EntryTerms:
-        """The beta-weighted conjugate kernel entry by entry, plus the
-        log-likelihood of obs when given.
-
-        The likelihood is weighted by the layout's alpha.  With layout
-        None the views come from obs and every weight is 1 (the gibecca
-        Theta refresh, which has no layout).
-        """
-        views = layout or obs
-        idx = range(len(views.families))
+        """The beta-weighted conjugate kernel entry by entry on the
+        layout's views, plus the log-likelihood of obs, weighted by the
+        layout's alpha, when obs is given."""
+        hypers = [self.hyper_for_view(i) for i in range(layout.n_views)]
         x, mask = (None, None) if obs is None else (obs.x, obs.observed)
-        weights = None if layout is None else layout.alpha
-        return EntryTerms(views.families, [views.view_cols(i) for i in idx],
-                          x, mask, weights, self.beta,
-                          [self.hyper_for_view(i) for i in idx])
+        return EntryTerms(layout.families, layout.cols_view, x, mask,
+                          layout.alpha, self.beta, hypers)
 
 
 def factor_sums_of_squares(u, v):

@@ -1,8 +1,10 @@
 """End-to-end command line runs against temp directories."""
 
 import ctypes
+import importlib
 import json
 import math
+import pathlib
 import resource
 
 import numpy as np
@@ -330,6 +332,10 @@ def _valid_fit_config(tmp_path):
                        options={"exchange": {"inner_sweeps": 0}}),
     lambda c: c.update(engine="hmc",
                        options={"exchange": {"inner_sweeps": 1}}),
+    lambda c: c["prior"].update(gamma=float("nan")),
+    lambda c: c["prior"].update(gamma=float("inf")),
+    lambda c: c["prior"].update(sigma_u=float("inf")),
+    lambda c: c["prior"].update(sigma_v=[1.0, float("inf")]),
 ])
 def test_config_problems_exit_2(tmp_path, capsys, mutate):
     cfg = _valid_fit_config(tmp_path)
@@ -403,6 +409,7 @@ def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
     ("fit", "synthetic", {"n_rows": 10.6}, "data.synthetic.n_rows"),
     ("fit", "synthetic", {"n_rows": "abc"}, "data.synthetic.n_rows"),
     ("impute", "holdout", {"seed": 1.6}, "holdout.seed"),
+    ("fit", "synthetic", {"n_rows": 0}, "data.synthetic.n_rows"),
 ])
 def test_mistyped_scalar_names_its_field(tmp_path, capsys, command, section,
                                          value, field):
@@ -535,3 +542,14 @@ def test_broken_chain_exits_3(tmp_path, capsys):
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == 3
     assert "numeric failure: ChainError" in capsys.readouterr().err
+
+
+def test_console_script_resolves_to_main():
+    """pyproject.toml installs the expfam-proj command as cli.main."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["expfam-proj"].partition(":")
+    assert module == "expfamproj.cli"
+    assert getattr(importlib.import_module(module), name) is main

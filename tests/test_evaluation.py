@@ -14,7 +14,7 @@ from expfamproj import (Chain, ConfigError, ConjugateHyper, FactorState,
                         make_layout, paired_significance, prediction_error,
                         time_between_uncorrelated)
 from expfamproj import model
-from expfamproj.model import log_pdf_sum_at
+from expfamproj.model import log_pdf_sums_at
 
 from conftest import make_rng
 
@@ -113,7 +113,7 @@ def test_heldout_loglik_point_estimates():
     assert heldout_loglik([theta], obs, held, lay) == pytest.approx(-LOG2)
     # one sample is scored exactly, with no Monte Carlo rounding
     assert heldout_loglik([theta], obs, held, lay) == \
-        log_pdf_sum_at(obs, theta, lay, held)
+        log_pdf_sums_at(obs, [theta], lay, held)[0]
 
 
 def test_heldout_loglik_empty_mask_is_zero():
@@ -147,7 +147,8 @@ def test_heldout_loglik_chain_is_logsumexp():
     states = [FactorState(np.zeros((1, 1)), np.zeros((1, 1)))] * 3
     chain = Chain(states, np.array([1.0, 2.0, 3.0]), np.zeros(3),
                   thetas=thetas)
-    lls = np.array([log_pdf_sum_at(obs, t, lay, held) for t in thetas])
+    lls = np.array([log_pdf_sums_at(obs, [t], lay, held)[0]
+                    for t in thetas])
     expect = special.logsumexp(lls) - np.log(3.0)
     assert heldout_loglik(chain.theta_samples(lay), obs, held,
                           lay) == pytest.approx(expect, rel=1e-12)
@@ -163,7 +164,8 @@ def test_heldout_loglik_builds_one_kernel(monkeypatch):
     held = rng.random((8, 6)) < 0.3
     obs = ObservationSet(x, ~held, lay.view_widths, lay.families)
     thetas = [0.5 * rng.standard_normal((8, 6)) for _ in range(5)]
-    lls = np.array([log_pdf_sum_at(obs, t, lay, held) for t in thetas])
+    lls = np.array([log_pdf_sums_at(obs, [t], lay, held)[0]
+                    for t in thetas])
     built = []
     init = model.EntryTerms.__init__
 

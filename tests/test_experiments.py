@@ -64,6 +64,9 @@ def test_make_recipe_config_coercion_and_seed():
     ("cca-knn", {"knn_k": 0}),
     ("epls-vs-sepca", {"sepca_components": [1.5]}),
     ("epls-vs-sepca", {"sepca_components": [2, True]}),
+    ("sampler-bench", {"n_rows": 0}),
+    ("epls-vs-sepca", {"n_train": 0}),
+    ("epls-vs-sepca", {"n_test": 0}),
 ])
 def test_make_recipe_config_rejects(name, overrides):
     with pytest.raises(ConfigError):

@@ -93,7 +93,8 @@ def _sweep_chain(layout, spec, start, n_sweeps, rng):
         theta_star = propose_theta_rows(stage, layout, rng)
         obs = ObservationSet(x, observed, layout.view_widths,
                              layout.families)
-        theta, _ = mh_accept_elements(obs, theta, theta_star, spec, rng)
+        theta, _ = mh_accept_elements(obs, theta, theta_star, layout, spec,
+                                      rng)
         x = _draw_x(layout, theta, rng)
         stats[t] = _statistics(stage.u, stage.v, theta, x)
     return stats

@@ -332,7 +332,7 @@ def test_mh_identical_proposal_always_accepts():
     obs = ObservationSet(x, np.ones_like(x, dtype=bool),
                          lay.view_widths, lay.families)
     theta = 0.3 * np.ones((2, 2))
-    new, acc = mh_accept_elements(obs, theta, theta.copy(), FLAT,
+    new, acc = mh_accept_elements(obs, theta, theta.copy(), lay, FLAT,
                                   make_rng(15, 10))
     assert acc.all()
     assert np.array_equal(new, theta)
@@ -351,7 +351,7 @@ def test_mh_acceptance_probability_matches_ratio():
     old = np.zeros((1, 1))
     star = np.ones((1, 1))
     for _ in range(n):
-        _, acc = mh_accept_elements(obs, old, star, FLAT, rng)
+        _, acc = mh_accept_elements(obs, old, star, lay, FLAT, rng)
         hits += int(acc[0, 0])
     se = np.sqrt(p_expect * (1 - p_expect) / n)
     assert abs(hits / n - p_expect) < 3.5 * se
@@ -373,7 +373,7 @@ def test_mh_conjugate_term_shifts_acceptance():
     old = np.zeros((1, 1))
     star = np.ones((1, 1))
     for _ in range(n):
-        _, acc = mh_accept_elements(obs, old, star, spec, rng)
+        _, acc = mh_accept_elements(obs, old, star, lay, spec, rng)
         hits += int(acc[0, 0])
     se = np.sqrt(p_expect * (1 - p_expect) / n)
     assert abs(hits / n - p_expect) < 3.5 * se
@@ -385,7 +385,8 @@ def test_mh_unobserved_entries_accept_in_domain_proposals():
                          lay.view_widths, lay.families)
     old = np.zeros((2, 2))
     star = 5.0 * np.ones((2, 2))
-    new, acc = mh_accept_elements(obs, old, star, FLAT, make_rng(15, 13))
+    new, acc = mh_accept_elements(obs, old, star, lay, FLAT,
+                                  make_rng(15, 13))
     assert acc.all()
     assert np.array_equal(new, star)
 
@@ -397,7 +398,8 @@ def test_mh_rejects_out_of_domain_proposals():
                          lay.view_widths, lay.families)
     old = np.array([[-1.0, -2.0]])
     star = np.array([[0.5, -1.5]])  # first entry leaves the domain
-    new, acc = mh_accept_elements(obs, old, star, FLAT, make_rng(15, 14))
+    new, acc = mh_accept_elements(obs, old, star, lay, FLAT,
+                                  make_rng(15, 14))
     assert not acc[0, 0]
     assert new[0, 0] == -1.0
 
@@ -416,8 +418,9 @@ def test_chain_kernel_matches_a_kernel_per_sweep(monkeypatch):
 
     per_call = mh_accept_elements
 
-    def per_sweep(obs, theta_old, theta_star, spec, rng, *, kernel=None):
-        return per_call(obs, theta_old, theta_star, spec, rng)
+    def per_sweep(obs, theta_old, theta_star, layout, spec, rng, *,
+                  kernel=None):
+        return per_call(obs, theta_old, theta_star, layout, spec, rng)
 
     monkeypatch.setattr(gibecca, "mh_accept_elements", per_sweep)
     ref = run_gibecca(obs, lay, spec, opts)

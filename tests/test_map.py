@@ -396,14 +396,13 @@ def test_fold_in_exponential_iterates_stay_in_domain(monkeypatch):
     spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.1, 1.0),
                      sigma_u=4.0)
     seen = []
-    terms = model.EntryTerms.terms
+    slopes = model.EntryTerms.slopes
 
-    def spy(self, theta, want_grad=False):
-        if want_grad:
-            seen.append(np.all(theta[:, 2:] < 0.0))
-        return terms(self, theta, want_grad)
+    def spy(self, theta, gs):
+        seen.append(np.all(theta[:, 2:] < 0.0))
+        return slopes(self, theta, gs)
 
-    monkeypatch.setattr(model.EntryTerms, "terms", spy)
+    monkeypatch.setattr(model.EntryTerms, "slopes", spy)
     pred = predict_target(obs, state, lay, spec)
     theta = assemble_theta(FactorState(pred.u, v, mean_row), lay)
     assert seen and all(seen)

@@ -12,7 +12,7 @@ from expfamproj import (ConfigError, ConjugateHyper, FactorState,
                         load_observations, log_likelihood,
                         log_likelihood_theta, make_layout)
 from expfamproj.model import (EntryTerms, as_int, likelihood_terms,
-                              log_pdf_sum_at)
+                              log_pdf_sums_at)
 
 from conftest import dense_observations, make_rng
 
@@ -257,12 +257,12 @@ def test_log_pdf_sum_at_masked_subset():
                          lay.view_widths, lay.families)
     theta = np.zeros((2, 2))
     mask = np.array([[True, False], [False, False]])
-    assert log_pdf_sum_at(obs, theta, lay, mask) == pytest.approx(
+    assert log_pdf_sums_at(obs, [theta], lay, mask)[0] == pytest.approx(
         -LOG2, rel=1e-12)
     empty = np.zeros((2, 2), dtype=bool)
-    assert log_pdf_sum_at(obs, theta, lay, empty) == 0.0
+    assert log_pdf_sums_at(obs, [theta], lay, empty)[0] == 0.0
     with pytest.raises(ShapeError):
-        log_pdf_sum_at(obs, theta, lay, np.ones((3, 2), dtype=bool))
+        log_pdf_sums_at(obs, [theta], lay, np.ones((3, 2), dtype=bool))
 
 
 # ------------------------------------------------------------ entry terms
@@ -297,7 +297,8 @@ def test_entry_terms_match_reference_entrywise(families):
     weights, beta = (1.0, 0.3), 0.4
     hypers = (ConjugateHyper(0.5, 1.0), ConjugateHyper(0.2, 1.5))
     terms = EntryTerms(fams, cols, x, mask, weights, beta, hypers)
-    vals, grad = terms.terms(theta, want_grad=True)
+    vals, gs = terms.score(theta)
+    grad = terms.slopes(theta, gs)
     ref = _entry_reference(fams, cols, x, mask, weights, beta, hypers, theta)
     assert np.allclose(vals, ref, rtol=1e-12, atol=1e-12)
     assert terms.value(theta) == pytest.approx(ref.sum(), rel=1e-12)
@@ -308,10 +309,10 @@ def test_entry_terms_match_reference_entrywise(families):
                              theta - eps)) / (2 * eps)
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-6)
     # likelihood only, and conjugate kernel only
-    lik = EntryTerms(fams, cols, x, mask, weights).terms(theta)[0]
+    lik = EntryTerms(fams, cols, x, mask, weights).score(theta)[0]
     assert np.allclose(lik, _entry_reference(fams, cols, x, mask, weights,
                                              0.0, hypers, theta), atol=1e-12)
-    conj = EntryTerms(fams, cols, beta=beta, hypers=hypers).terms(theta)[0]
+    conj = EntryTerms(fams, cols, beta=beta, hypers=hypers).score(theta)[0]
     no_data = np.zeros_like(mask)
     assert np.allclose(conj, _entry_reference(fams, cols, x, no_data,
                                               weights, beta, hypers, theta),
@@ -342,7 +343,7 @@ def test_entry_terms_log_ratio_and_domain(families):
     assert np.all(r[~in_dom] == -np.inf)
     assert (~in_dom).any() == (families[1] == "exponential")
     if (~in_dom).any():
-        assert terms.terms(star) is None
+        assert terms.score(star) is None
         assert terms.value(star) == -np.inf
 
 
@@ -364,9 +365,11 @@ def test_entry_terms_skip_zero_base_measure_bit_for_bit(families):
             fam.name in ("bernoulli", "exponential") for fam in fams]
         star = theta + 0.1 * make_rng(4, 7).standard_normal(theta.shape)
         star[:, 3:] = fams[1].to_domain(star[:, 3:])
-        for got, want in zip(terms.terms(theta, want_grad=True),
-                             kept.terms(theta, want_grad=True)):
-            assert got.tobytes() == want.tobytes()
+        vals, gs = terms.score(theta)
+        kept_vals, kept_gs = kept.score(theta)
+        assert vals.tobytes() == kept_vals.tobytes()
+        assert (terms.slopes(theta, gs).tobytes()
+                == kept.slopes(theta, kept_gs).tobytes())
         assert (terms.log_ratio(theta, star).tobytes()
                 == kept.log_ratio(theta, star).tobytes())
 
@@ -376,8 +379,9 @@ def test_entry_terms_curvature_matches_difference_of_derivative():
     hypers = (ConjugateHyper(0.5, 1.0), ConjugateHyper(0.2, 1.5))
     terms = EntryTerms(fams, cols, x, mask, (1.0, 0.7), 0.3, hypers)
     eps = 1e-6 * np.minimum(1.0, np.abs(theta))
-    fd = (terms.terms(theta - eps, want_grad=True)[1]
-          - terms.terms(theta + eps, want_grad=True)[1]) / (2 * eps)
+    lo, hi = theta - eps, theta + eps
+    fd = (terms.slopes(lo, terms.score(lo)[1])
+          - terms.slopes(hi, terms.score(hi)[1])) / (2 * eps)
     assert np.allclose(terms.curvature(theta), fd, rtol=1e-6, atol=1e-9)
 
 
@@ -416,7 +420,8 @@ def test_entry_terms_without_data_or_beta_score_nothing():
     theta = np.array([[0.2, 800.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        vals, grad = terms.terms(theta, want_grad=True)
+        vals, gs = terms.score(theta)
+        grad = terms.slopes(theta, gs)
         curv = terms.curvature(theta)
         total = terms.value(theta)
     assert total == pytest.approx(0.2 - np.exp(0.2), rel=1e-12)

@@ -374,6 +374,12 @@ def test_prior_spec_validation():
         PriorSpec(beta=0.5, a_hyper=ConjugateHyper(0.1, 0.2), sigma_u=0.0)
     with pytest.raises(ValueError):
         PriorSpec(beta=0.5, a_hyper=ConjugateHyper(0.1, 0.2), gamma=-0.2)
+    # a NaN gamma would switch the Gaussian factor prior off, and an
+    # infinite gamma or variance start every fit outside the domain
+    for bad in ({"gamma": np.nan}, {"gamma": np.inf}, {"sigma_u": np.inf},
+                {"sigma_v": np.nan}, {"sigma_v": [1.0, np.inf]}):
+        with pytest.raises(ValueError):
+            PriorSpec(beta=0.5, a_hyper=ConjugateHyper(0.1, 0.2), **bad)
 
 
 def test_gamma_defaults_to_one_minus_beta():
