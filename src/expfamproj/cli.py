@@ -117,9 +117,23 @@ def build_layout(d, path="layout"):
                                           f"{path}.mean_row"))
 
 
+def _no_bool(value, path):
+    """value, a number or a list of them, as given; ConfigError naming
+    path where a JSON boolean stands for a number, which Python would
+    take as 0 or 1."""
+    for item in value if isinstance(value, (list, tuple)) else (value,):
+        if isinstance(item, bool):
+            raise ConfigError(f"{path}: expected a number, got {item!r}")
+        if isinstance(item, (list, tuple)):
+            _no_bool(item, path)
+    return value
+
+
 def build_prior(d, path="prior"):
     d = _as_dict(d, path)
     _no_unknown(d, {"beta", "a_hyper", "sigma_u", "sigma_v", "gamma"}, path)
+    for key in d:
+        _no_bool(d[key], f"{path}.{key}")
     raw = _get(d, "a_hyper", path)
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError(f"{path}.a_hyper: expected [lam, nu] or a list of "

@@ -148,6 +148,11 @@ class Family:
         """g''(theta), the variance of x under theta."""
         raise NotImplementedError
 
+    def _gsecond_at(self, theta, g):
+        """g''(theta) for g = g(theta) already computed.  A family whose
+        g'' can reuse g overrides this."""
+        return self._gsecond(theta)
+
     def _h(self, x):
         """h(x), zero here (a unit base measure)."""
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -231,6 +236,10 @@ class PoissonLog(Family):
     def _gsecond(self, theta):
         with np.errstate(over="ignore"):
             return np.exp(theta)
+
+    def _gsecond_at(self, theta, g):
+        # g'' = g = e^theta
+        return g
 
     def _h(self, x):
         return -special.gammaln(np.asarray(x, dtype=float) + 1.0)

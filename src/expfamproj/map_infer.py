@@ -4,10 +4,14 @@ The MAP objective is the negative unnormalised log posterior
 
     f(U, V) = -[ log_likelihood(X; U V) + log a(UV)^beta b(U)^gamma c(V)^gamma ]
 
-minimised by conjugate gradients over the free coordinates (all of U, the
-unmasked entries of V, and the mean row when the layout has one), which
-FreeParams.objective hands to minimize_cg; FreeParams.log_density hands
-HMC the posterior itself.  The likelihood and the conjugate prior term
+minimised by line-search Newton-CG over the free coordinates (all of U,
+the unmasked entries of V, and the mean row when the layout has one),
+which FreeParams.objective hands to minimize_cg whitened: U and V are
+divided, per component, by the square roots of their prior variances,
+so the Gaussian blocks' curvature is gamma on every factor coordinate.
+The convergence test still bounds the gradient in U, V and the mean row
+by grad_tol.  FreeParams.log_density hands HMC the posterior itself, in
+the unwhitened coordinates.  The likelihood and the conjugate prior term
 come together from the model's EntryTerms as one conjugate kernel per
 entry, a theta - b g(theta) + c, whose N x D value matrix is reduced by a
 single sum, so that a two-view layout with unit alpha produces
@@ -70,18 +74,32 @@ class FreeParams:
         return np.concatenate(parts)
 
     def unpack(self, x: np.ndarray) -> FactorState:
+        u, v, mean = self._parts(x)
+        return FactorState(u, self.template.v if v is None else v,
+                           mean if self.with_mean else self.template.mean_row)
+
+    def _parts(self, x):
+        """(U, V, mean row) of x, with None for V when fix_v and for the
+        mean row without one."""
         k, d = self.layout.k_total, self.layout.d_total
         u = x[:self.n_u].reshape(self.n_rows, k)
-        if self.fix_v:
-            v = self.template.v
-        else:
+        v = None
+        if not self.fix_v:
             v = np.zeros((k, d))
             v.ravel()[self.v_free_idx] = x[self.n_u:self.n_u + self.n_v]
-        if self.with_mean:
-            mean = x[self.n_u + self.n_v:]
-        else:
-            mean = self.template.mean_row
-        return FactorState(u, v, mean)
+        mean = x[self.n_u + self.n_v:] if self.with_mean else None
+        return u, v, mean
+
+    def whitening(self, spec: PriorSpec) -> np.ndarray:
+        """Per-coordinate scales s of the MAP objective's whitened
+        coordinates x / s: each entry of U and of V by the square root of
+        its component's prior variance, the mean row by 1."""
+        su, sv = spec.sigmas(self.layout)
+        parts = [np.tile(np.sqrt(su), self.n_rows)]
+        if not self.fix_v:
+            parts.append(np.sqrt(sv)[self.v_free_idx // self.layout.d_total])
+        parts.append(np.ones(self.n_mean))
+        return np.concatenate(parts)
 
     def pack_grad(self, grad_u, grad_v, grad_mean=None) -> np.ndarray:
         parts = [grad_u.ravel()]
@@ -106,26 +124,37 @@ class FreeParams:
         return fn
 
     def objective(self, obs: ObservationSet, spec: PriorSpec):
-        """minimize_cg's objective: x -> (negative log posterior, gradient
+        """minimize_cg's objective over the whitened coordinates
+        x = pack(state) / whitening(spec): x -> (negative log posterior,
         thunk), +inf where infeasible.  The thunk gives the negated packed
-        gradient, or None where it is not finite; called before the next
-        evaluation, it reuses this value call's Theta and g(Theta)."""
+        gradient and its Hessian-vector product in x, or None where the
+        gradient is not finite; called before the next evaluation, it
+        reuses this value call's Theta and g(Theta), and the product
+        reuses the gradient's slopes."""
         kernel = PreparedDensity(spec, self.layout, obs, self.n_rows)
+        scale = self.whitening(spec)
 
         def fun_and_grad(x):
-            state = self.unpack(x)
+            state = self.unpack(scale * x)
             logp = posterior_logp_and_grad(state, obs, self.layout, spec,
                                            False, kernel=kernel)[0]
             # a bound method, not a closure over fun_and_grad, which would
             # close a reference cycle that keeps the kernel and data alive
-            return -logp, functools.partial(self._negated_gradient, state,
-                                            obs, spec, kernel)
+            return -logp, functools.partial(self._gradient_and_product,
+                                            state, obs, spec, kernel, scale)
         return fun_and_grad
 
-    def _negated_gradient(self, state, obs, spec, kernel):
+    def _gradient_and_product(self, state, obs, spec, kernel, scale):
         logp, gu, gv, gm = posterior_logp_and_grad(
             state, obs, self.layout, spec, True, kernel=kernel)
-        return -self.pack_grad(gu, gv, gm) if np.isfinite(logp) else None
+        if not np.isfinite(logp):
+            return None
+        return (-scale * self.pack_grad(gu, gv, gm),
+                functools.partial(self._product, state, kernel, scale))
+
+    def _product(self, state, kernel, scale, p):
+        h = kernel.hessian_product(state, *self._parts(scale * p))
+        return scale * self.pack_grad(*h)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +229,11 @@ class MapFit:
     n_iter: int
     trace: list
     restart_objectives: list = field(default_factory=list)
+    # work summed over the restarts that started feasible: objective
+    # values, gradients and Hessian-vector products
+    n_values: int = 0
+    n_gradients: int = 0
+    n_products: int = 0
 
 
 def _check_obs_layout(obs: ObservationSet, layout: BlockLayout):
@@ -226,25 +260,32 @@ def fit_map(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
         grad_tol = 1e-5 * math.sqrt(obs.n_rows * layout.d_total)
 
     best = None
-    restart_objectives = []
+    restart_objectives, runs = [], []
     for r in range(opts.restarts):
         rng = np.random.default_rng(np.random.SeedSequence([opts.seed, r]))
         state0 = init_state(obs, layout, rng)
         free = FreeParams(layout, state0)
-        fun = free.objective(obs, spec)
+        scale = free.whitening(spec)
         try:
-            res = minimize_cg(fun, free.pack(state0), grad_tol, opts.max_iter)
+            # grad_tol * scale bounds the gradient in U, V and the mean row
+            res = minimize_cg(free.objective(obs, spec),
+                              free.pack(state0) / scale, grad_tol * scale,
+                              opts.max_iter)
         except ValueError:
             restart_objectives.append(np.inf)
             continue
         restart_objectives.append(res.fun)
+        runs.append(res)
         if best is None or res.fun < best[0].fun:
-            best = (res, free)
+            best = (res, free, scale)
     if best is None:
         raise FitError("all restarts started outside the feasible region")
-    res, free = best
-    return MapFit(free.unpack(res.x), res.fun, res.converged, res.status,
-                  res.n_iter, res.trace, restart_objectives)
+    res, free, scale = best
+    return MapFit(free.unpack(scale * res.x), res.fun, res.converged,
+                  res.status, res.n_iter, res.trace, restart_objectives,
+                  n_values=sum(run.n_values for run in runs),
+                  n_gradients=sum(run.n_gradients for run in runs),
+                  n_products=sum(run.n_products for run in runs))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +370,12 @@ def _fold_in(obs, state, layout, spec, max_iter):
         if out is None or not np.all(np.isfinite(out[0])):
             raise FoldInError("fold-in started infeasible: Theta at u = 0 "
                               "is outside the family domain")
-        f, dlogp = np.sum(out[0], axis=1), kernel.slopes(theta, out[1])
+        f, gs = np.sum(out[0], axis=1), out[1]
+        dlogp = kernel.slopes(theta, gs)
         active = np.arange(n)
         for it in range(max_iter + 1):
             grad = dlogp[active] @ v.T - prec * u[active]
-            curv = kernel.curvature(theta)[active]
+            curv = kernel.curvature(theta, gs)[active]
             hess = (v * curv[:, None, :]) @ v.T + np.diag(prec)
             try:
                 step = np.linalg.solve(hess, grad[..., None])[..., 0]
@@ -352,7 +394,8 @@ def _fold_in(obs, state, layout, spec, max_iter):
                         f"fold-in line search failed in {failed.size} of "
                         f"{n} rows")
                 active = np.delete(active, failed)
-                dlogp = kernel.slopes(theta, kernel.score(theta)[1])
+                gs = kernel.score(theta)[1]
+                dlogp = kernel.slopes(theta, gs)
             if not active.size:
                 return u
     raise FoldInError(f"fold-in not converged in {active.size} of {n} rows "

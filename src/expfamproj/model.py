@@ -344,14 +344,15 @@ class EntryTerms:
             np.subtract(a, b * _zero_at(mu, unscored), out=grad[..., cols])
         return grad
 
-    def curvature(self, theta):
+    def curvature(self, theta, gs):
         """Minus the second derivative of the entry terms wrt theta,
-        shaped like theta: b g''(theta).  Every entry of theta must lie
-        in the domain."""
+        shaped like theta, from theta and the per-view g(theta) that
+        score returned for it: b g''(theta).  Every entry of theta must
+        lie in the domain."""
         out = self._alloc(theta)
-        for fam, cols, a, b, c, unscored in self.views:
-            g2 = _zero_at(fam._gsecond(theta[..., cols]), unscored)
-            np.multiply(b, g2, out=out[..., cols])
+        for (fam, cols, a, b, c, unscored), g in zip(self.views, gs):
+            g2 = fam._gsecond_at(theta[..., cols], g)
+            np.multiply(b, _zero_at(g2, unscored), out=out[..., cols])
         return out
 
     def value(self, theta):

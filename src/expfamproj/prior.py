@@ -138,10 +138,12 @@ class PreparedDensity:
     prepared once for a caller that scores many states: the entrywise
     kernel and the Gaussian blocks' constants.
 
-    A value-only evaluation keeps its point (the state, Theta, each view's
-    g(Theta) and the value) until the next evaluation starts, so that a
-    gradient asked next for the same state object reuses them and does
-    only the gradient work.  At most one point is held.
+    A value-only evaluation keeps its point (the state, Theta, each
+    view's g(Theta) and the value) until the next evaluation starts, so
+    that a gradient asked next for the same state object reuses them and
+    does only the gradient work.  That gradient keeps the point in turn,
+    with the slopes W added, so that hessian_product at the same state
+    forms only the curvature.  At most one point is held.
     """
 
     def __init__(self, spec: PriorSpec, layout: BlockLayout, obs, n_rows):
@@ -154,18 +156,16 @@ class PreparedDensity:
 
     def __call__(self, state: FactorState, want_grad=True):
         """(logp, grad_u, grad_v, grad_mean) as log_density returns it."""
-        point = self._point
-        if want_grad and point is not None and point[0] is state:
-            _, theta, gs, logp = point
-            self._point = point = None
-        else:
-            self._point = point = None   # freed before Theta is formed
+        point, self._point = self._point, None
+        reuse = (want_grad and point is not None and point.state is state
+                 and point.w is None)
+        if not reuse:
+            point = None        # freed before Theta is formed
             theta = assemble_theta(state, self.layout)
             out = self.kernel.score(theta)
             if out is None:
                 return -np.inf, None, None, None
-            vals, gs = out
-            logp = float(np.sum(vals))
+            logp = float(np.sum(out[0]))
             if self.blocks is not None:
                 log_b, log_c = self.blocks.terms(state.u, state.v)
                 logp += self.gamma * (log_b + log_c)
@@ -173,11 +173,12 @@ class PreparedDensity:
                 # overflow inside g (e.g. huge Poisson rates) counts as
                 # infeasible
                 return -np.inf, None, None, None
+            point = _Point(state, theta, out[1], logp)
             if not want_grad:
-                self._point = (state, theta, gs, logp)
+                self._point = point
                 return logp, None, None, None
 
-        w = self.kernel.slopes(theta, gs)   # d logp / d theta
+        w = self.kernel.slopes(point.theta, point.gs)   # d logp / d theta
         grad_u = w @ state.v.T
         grad_v = state.u.T @ w
         grad_mean = w.sum(axis=0) if self.layout.use_mean_row else None
@@ -189,7 +190,78 @@ class PreparedDensity:
         if not (np.all(np.isfinite(grad_u)) and np.all(np.isfinite(grad_v))
                 and (grad_mean is None or np.all(np.isfinite(grad_mean)))):
             return -np.inf, None, None, None
-        return logp, grad_u, grad_v, grad_mean
+        if reuse:
+            point.w = w
+            self._point = point
+        return point.logp, grad_u, grad_v, grad_mean
+
+    def hessian_product(self, state: FactorState, d_u, d_v, d_mean=None):
+        """Minus the Hessian of logp at state times the direction
+        (d_u, d_v, d_mean), as (h_u, h_v, h_mean) shaped like the
+        gradients.  With W the slopes, C the curvature and
+        dTheta = d_u V + U d_v (+ d_mean):
+
+            h_u    = (C o dTheta) V^T - W d_v^T + gamma d_u / sigma_u
+            h_v    = U^T (C o dTheta) - d_u^T W + gamma d_v / sigma_v
+            h_mean = sum over rows of C o dTheta
+
+        with h_v zero on the structural zeros.  d_v None holds V fixed
+        and d_mean None the mean row (h_mean is None without one).  The
+        held point of a gradient call at state gives W, and C is formed
+        from it once, after which its Theta and g(Theta) are freed; at any
+        other state the state is scored first.  C o dTheta is formed a
+        block of rows at a time, so that it stays in cache while it is
+        used three times.
+        """
+        point = self._point
+        if point is None or point.state is not state or point.w is None:
+            self(state, want_grad=False)
+            self(state, want_grad=True)
+            point = self._point
+        if point.c is None:
+            point.c = self.kernel.curvature(point.theta, point.gs)
+            point.theta = point.gs = None
+        u, v, w, c = state.u, state.v, point.w, point.c
+        if d_v is None:
+            d_v = np.zeros_like(v)
+        # [d_u, U] [V; d_v] = d_u V + U d_v in one product
+        left, right = np.hstack((d_u, u)), np.vstack((v, d_v))
+        h_u, h_v = np.empty_like(d_u), np.zeros_like(v)
+        h_mean = np.zeros(v.shape[1]) if self.layout.use_mean_row else None
+        step = max(1, _BLOCK_BYTES // (8 * v.shape[1]))
+        for start in range(0, u.shape[0], step):
+            rows = slice(start, start + step)
+            cd = left[rows] @ right
+            if d_mean is not None:
+                cd += d_mean
+            cd *= c[rows]
+            h_u[rows] = cd @ v.T - w[rows] @ d_v.T
+            h_v += u[rows].T @ cd - d_u[rows].T @ w[rows]
+            if h_mean is not None:
+                h_mean += cd.sum(axis=0)
+        if self.blocks is not None:
+            su, sv = self.blocks.sigmas
+            h_u += self.gamma * d_u / su
+            h_v += self.gamma * d_v / sv[:, None]
+        h_v[self.layout.zero_mask] = 0.0
+        return h_u, h_v, h_mean
+
+
+# the rows of C o dTheta that hessian_product forms at once fill about
+# 256 KiB, which stays in a core's L2 cache while it is used
+_BLOCK_BYTES = 1 << 18
+
+
+class _Point:
+    """What a PreparedDensity holds of its last evaluation: the state,
+    Theta, each view's g(Theta) and the value; the slopes W after a
+    gradient call, and the curvature C once a product formed it."""
+
+    __slots__ = ("state", "theta", "gs", "logp", "w", "c")
+
+    def __init__(self, state, theta, gs, logp):
+        self.state, self.theta, self.gs, self.logp = state, theta, gs, logp
+        self.w = self.c = None
 
 
 def log_density(state: FactorState, obs, layout: BlockLayout,

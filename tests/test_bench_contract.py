@@ -71,7 +71,7 @@ def test_minimize_cg_calls_its_objective_with_one_argument():
     def fun(*args, **kwargs):
         calls.append((len(args), kwargs))
         x = args[0]
-        return float(x @ x), lambda: 2.0 * x
+        return float(x @ x), lambda: (2.0 * x, lambda p: 2.0 * p)
 
     optimize.minimize_cg(fun, np.linspace(-1.0, 1.0, 3), grad_tol=1e-8)
     assert len(calls) > 1

@@ -375,17 +375,24 @@ def test_config_problems_exit_2(tmp_path, capsys, mutate):
      "options.resid_init"),
     ("gibecca", {"n_samples": 2, "burn_in": 2, "resid_init": float("inf")},
      "options.resid_init"),
+    ("prior", {"beta": True}, "prior.beta"),
+    ("prior", {"gamma": False}, "prior.gamma"),
+    ("prior", {"a_hyper": [True, 2.0]}, "prior.a_hyper"),
+    ("prior", {"a_hyper": [[True, 2.0]]}, "prior.a_hyper"),
+    ("prior", {"sigma_u": True}, "prior.sigma_u"),
+    ("prior", {"sigma_v": [1.0, True]}, "prior.sigma_v"),
 ])
 def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
                                            value, field):
     """A string for layout.mean_row used to fit a mean row, thin 0 gave an
     empty chain, n_leapfrog 0 a traceback, restarts 0 a FitError,
-    inner_sweeps 0 or 1 a stationarity check on empty halves and a
+    inner_sweeps 0 or 1 a stationarity check on empty halves, a
     resid_init that is not finite and positive a chain that never
-    accepts or a StageError."""
+    accepts or a StageError, and a JSON boolean for a prior number ran
+    as 0 or 1 (beta true as beta 1 with gamma 1 - True = 0)."""
     cfg = _valid_fit_config(tmp_path)
-    if section == "layout":
-        cfg["layout"].update(value)
+    if section in ("layout", "prior"):
+        cfg[section].update(value)
     else:
         cfg.update(engine=section, options=value)
     path = _write_json(tmp_path / "cfg.json", cfg)

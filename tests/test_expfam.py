@@ -87,6 +87,20 @@ def test_g_and_gprime_is_g_and_gprime_bit_for_bit(name, thetas):
         assert np.array_equal(mu, fam._gprime(theta))
 
 
+@pytest.mark.parametrize("name, thetas", [
+    ("bernoulli", (-30.0, -1.0, 0.0, 8.0)),
+    ("poisson", (-5.0, 0.0, 2.0, 800.0)),
+    ("gaussian", (-3.0, 0.0, 4.0)),
+    ("exponential", (-20.0, -1.0, -1e-3)),
+])
+def test_gsecond_at_is_gsecond_bit_for_bit(name, thetas):
+    """_gsecond_at, given g(theta), gives _gsecond to the last bit."""
+    fam = get_family(name)
+    for theta in (np.array(thetas), thetas[0]):
+        assert np.array_equal(fam._gsecond_at(theta, fam._g(theta)),
+                              fam._gsecond(theta))
+
+
 # ---------------------------------------------------------------- densities
 
 def test_bernoulli_log_pdf_values():

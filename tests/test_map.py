@@ -12,9 +12,12 @@ from expfamproj import (ConfigError, ConjugateHyper, FactorState, LayoutError,
                         cv_select_hyperparams, fit_map, generate_coupled,
                         log_likelihood_theta, make_layout, predict_target)
 from expfamproj import map_infer, model, prior
-from expfamproj.experiments import EplsVsSepcaConfig, _seed_int
-from expfamproj.map_infer import (FoldInError, _fold_masks, init_state,
+from expfamproj.experiments import (BetaSweepConfig, EplsVsSepcaConfig,
+                                    _seed_int)
+from expfamproj.map_infer import (DEFAULT_BC_GRID, FoldInError, FreeParams,
+                                  _fold_masks, init_state,
                                   moment_matched_row, posterior_logp_and_grad)
+from expfamproj.spect import load_or_fallback, make_holdout
 
 from conftest import dense_observations, make_rng
 
@@ -183,6 +186,39 @@ def _traced_fit(monkeypatch):
     return counts, alive
 
 
+def test_fit_counts_the_work_of_every_restart(monkeypatch):
+    """MapFit's counts are the objective values, gradients and
+    Hessian-vector products of all its restarts."""
+    lay = make_layout("epca", 4, 2, "poisson")
+    obs = dense_observations(lay, 0.4 * make_rng(11, 12).standard_normal(
+        (12, 4)), seed=122)
+    spec = PriorSpec(beta=0.1, a_hyper=ConjugateHyper(0.5, 1.0))
+    calls = {"value": 0, "grad": 0, "product": 0}
+    cg = map_infer.minimize_cg
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def counted_cg(fun_and_grad, x0, grad_tol, max_iter):
+        def fun(x):
+            f, thunk = counted("value", fun_and_grad)(x)
+
+            def counted_thunk():
+                out = counted("grad", thunk)()
+                return out and (out[0], counted("product", out[1]))
+            return f, counted_thunk
+        return cg(fun, x0, grad_tol, max_iter)
+
+    monkeypatch.setattr(map_infer, "minimize_cg", counted_cg)
+    fit = fit_map(obs, lay, spec, MapOptions(restarts=3, seed=2))
+    assert calls["product"] > 0
+    assert (fit.n_values, fit.n_gradients, fit.n_products) == (
+        calls["value"], calls["grad"], calls["product"])
+
+
 def test_fit_forms_theta_once_per_evaluation(monkeypatch):
     """The gradient at an accepted point reuses the Theta (and g(Theta))
     of the value call that scored it, so a fit forms one Theta per CG
@@ -196,6 +232,142 @@ def test_scored_theta_is_freed_before_the_next_theta(monkeypatch):
     rejected trials' included, is freed before the next one is formed."""
     counts, alive = _traced_fit(monkeypatch)
     assert alive and not any(alive)
+
+
+# ------------------------------------------------------- Hessian products
+
+_PRODUCT_HYPER = {"bernoulli": (0.3, 1.0), "poisson": (0.5, 1.0),
+                  "gaussian": (0.2, 1.0), "exponential": (0.5, 1.0)}
+
+
+def _product_case(kind, fam, beta, seed):
+    """A partly observed model with a mean row (and, for epls and ecca,
+    structural zeros) at a random state inside the family's domain."""
+    rng = make_rng(11, 40, seed)
+    lay = {"epca": lambda: make_layout("epca", 5, 2, fam, use_mean_row=True),
+           "sepca": lambda: make_layout("sepca", (2, 3), 2, fam,
+                                        alpha=(1.0, 0.5), use_mean_row=True),
+           "epls": lambda: make_layout("epls", (2, 3), (1, 2), fam,
+                                       use_mean_row=True),
+           "ecca": lambda: make_layout("ecca", (2, 3), (1, 1, 1), fam,
+                                       use_mean_row=True)}[kind]()
+    u = 0.5 * rng.standard_normal((6, lay.k_total))
+    v = 0.5 * rng.standard_normal((lay.k_total, lay.d_total))
+    v[lay.zero_mask] = 0.0
+    mean = 0.3 * rng.standard_normal(lay.d_total)
+    if fam == "exponential":
+        mean -= 3.0
+    state = FactorState(u, v, mean)
+    obs = dense_observations(lay, assemble_theta(state, lay), seed=140 + seed)
+    obs = obs.with_mask(rng.random(obs.x.shape) > 0.15)
+    spec = PriorSpec(beta=beta, a_hyper=ConjugateHyper(*_PRODUCT_HYPER[fam]),
+                     sigma_u=0.5, sigma_v=2.0)
+    return lay, obs, spec, state
+
+
+@pytest.mark.parametrize("beta", (0.0, 0.3))
+@pytest.mark.parametrize("fam", sorted(_PRODUCT_HYPER))
+def test_hessian_product_matches_central_differences(fam, beta, monkeypatch):
+    """The MAP objective's Hessian-vector product, in its whitened
+    coordinates, against central differences of its packed gradient, for
+    every model kind with a mean row and sigma_u != sigma_v, formed one
+    row at a time.  Asked again after other points were scored, it gives
+    the same bits."""
+    monkeypatch.setattr(prior, "_BLOCK_BYTES", 1)
+    eps, worst = 1e-5, 0.0
+    for seed, kind in enumerate(("epca", "sepca", "epls", "ecca")):
+        lay, obs, spec, state = _product_case(kind, fam, beta, seed)
+        free = FreeParams(lay, state)
+        fun = free.objective(obs, spec)
+        x0 = free.pack(state) / free.whitening(spec)
+
+        def grad_at(x):
+            return fun(x)[1]()[0]
+
+        product = fun(x0)[1]()[1]
+        dirs = make_rng(11, 41, seed).standard_normal((3, x0.size))
+        products = [product(p) for p in dirs]
+        for p, hp in zip(dirs, products):
+            fd = (grad_at(x0 + eps * p) - grad_at(x0 - eps * p)) / (2 * eps)
+            worst = max(worst, np.linalg.norm(fd - hp) / np.linalg.norm(hp))
+            assert np.array_equal(product(p), hp)
+    assert worst < 1e-6, worst
+
+
+def test_hessian_product_is_zero_on_structural_zeros():
+    lay, obs, spec, state = _product_case("ecca", "poisson", 0.3, 0)
+    density = prior.PreparedDensity(spec, lay, obs, 6)
+    rng = make_rng(11, 42)
+    h_u, h_v, h_mean = density.hessian_product(
+        state, rng.standard_normal(state.u.shape),
+        rng.standard_normal(state.v.shape), rng.standard_normal(lay.d_total))
+    assert np.all(h_v[lay.zero_mask] == 0.0)
+    assert np.any(h_v != 0.0) and h_mean.shape == (lay.d_total,)
+
+
+# ------------------------------------------------- convergence oracle
+
+def _assert_converged(obs, lay, spec, opts, same_optimum=True):
+    """The fit reaches grad_tol: its gradient in U, V and the mean row,
+    formed afresh, is within the default tolerance, and a reference run
+    from the same start with a 1000 times tighter tolerance lowers the
+    objective by at most 1e-6 relative.  Where the problem is
+    non-convex and the reference may find another stationary point,
+    only stationarity is checked."""
+    grad_tol = 1e-5 * np.sqrt(obs.n_rows * lay.d_total)
+    fit = fit_map(obs, lay, spec, opts)
+    assert fit.converged and fit.status == "grad_tol"
+    _, gu, gv, gm = posterior_logp_and_grad(fit.state, obs, lay, spec)
+    for g in (gu, gv, gm):
+        assert g is None or np.max(np.abs(g)) <= grad_tol
+    if same_optimum:
+        ref = fit_map(obs, lay, spec, MapOptions(
+            max_iter=20 * opts.max_iter, grad_tol=1e-3 * grad_tol,
+            restarts=opts.restarts, seed=opts.seed))
+        assert ref.converged
+        assert fit.objective - ref.objective <= 1e-6 * abs(ref.objective)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_poisson_ecca_fit_converges(seed):
+    """The sampler-bench recipe's model and data."""
+    lay = make_layout("ecca", (20, 20), (1, 2, 2), "poisson")
+    obs = generate_coupled(lay, 50, seed=seed, latent_scale=0.8).train
+    spec = PriorSpec(beta=0.1, a_hyper=ConjugateHyper(0.5, 1.0))
+    _assert_converged(obs, lay, spec, MapOptions(max_iter=500, seed=seed))
+
+
+@pytest.mark.parametrize("beta", (0.0, 0.5))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_exponential_epca_with_mean_row_converges(seed, beta):
+    lay = make_layout("epca", 10, 3, "exponential", use_mean_row=True)
+    rng = make_rng(11, 51, seed)
+    theta = -np.exp(0.5 * rng.standard_normal((40, 3))
+                    @ rng.standard_normal((3, 10)) / np.sqrt(3))
+    obs = dense_observations(lay, theta, seed=160 + seed)
+    spec = PriorSpec(beta=beta, a_hyper=ConjugateHyper(0.5, 1.0))
+    _assert_converged(obs, lay, spec, MapOptions(max_iter=500, seed=seed))
+
+
+@pytest.mark.parametrize("sigmas", DEFAULT_BC_GRID)
+@pytest.mark.parametrize("fold", (0, 1))
+def test_beta_sweep_cv_stage_two_fits_converge(fold, sigmas):
+    """The second CV stage of the beta-sweep recipe at its default
+    config, on the stand-in data: K = 1 at beta = 0, non-convex, so only
+    stationarity is checked."""
+    cfg = BetaSweepConfig(seed=0)
+    train, _ = make_holdout(load_or_fallback(None)[0], cfg.holdout_fraction,
+                            seed=_seed_int(cfg.seed, 31))
+    lay = make_layout("epca", (train.x.shape[1], 0), cfg.k,
+                      train.families[0].name)
+    rng = np.random.default_rng(
+        np.random.SeedSequence([_seed_int(cfg.seed, 37), 101]))
+    held = _fold_masks(train.observed, cfg.cv_folds, rng)[fold]
+    spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.5, 1.0),
+                     sigma_u=sigmas[0], sigma_v=sigmas[1])
+    _assert_converged(train.with_mask(train.observed & ~held), lay, spec,
+                      MapOptions(max_iter=cfg.cv_max_iter),
+                      same_optimum=False)
 
 
 def test_fit_map_is_deterministic():

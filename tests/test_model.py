@@ -382,7 +382,8 @@ def test_entry_terms_curvature_matches_difference_of_derivative():
     lo, hi = theta - eps, theta + eps
     fd = (terms.slopes(lo, terms.score(lo)[1])
           - terms.slopes(hi, terms.score(hi)[1])) / (2 * eps)
-    assert np.allclose(terms.curvature(theta), fd, rtol=1e-6, atol=1e-9)
+    assert np.allclose(terms.curvature(theta, terms.score(theta)[1]), fd,
+                       rtol=1e-6, atol=1e-9)
 
 
 def test_entry_terms_value_scores_each_slice_of_a_stack():
@@ -422,7 +423,7 @@ def test_entry_terms_without_data_or_beta_score_nothing():
         warnings.simplefilter("error", RuntimeWarning)
         vals, gs = terms.score(theta)
         grad = terms.slopes(theta, gs)
-        curv = terms.curvature(theta)
+        curv = terms.curvature(theta, gs)
         total = terms.value(theta)
     assert total == pytest.approx(0.2 - np.exp(0.2), rel=1e-12)
     assert vals[0, 1] == grad[0, 1] == curv[0, 1] == 0.0

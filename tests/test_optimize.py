@@ -1,35 +1,39 @@
-"""Nonlinear conjugate gradient minimiser."""
+"""Line-search Newton-CG minimiser."""
 
 import weakref
 
 import numpy as np
 import pytest
 
-from expfamproj.optimize import (ARMIJO_C, ARMIJO_SHRINK, MAX_BACKTRACKS,
-                                  CGResult, minimize_cg)
+from expfamproj.optimize import MAX_PRODUCTS, minimize_cg
 
 from conftest import make_rng
 
 
 def quadratic(a_matrix, b):
     def fg(x):
-        return 0.5 * x @ a_matrix @ x - b @ x, lambda: a_matrix @ x - b
+        return (0.5 * x @ a_matrix @ x - b @ x,
+                lambda: (a_matrix @ x - b, lambda p: a_matrix @ p))
     return fg
 
 
 def rosenbrock(x):
     a, b = x
     f = (1 - a) ** 2 + 100 * (b - a * a) ** 2
-    return f, lambda: np.array([-2 * (1 - a) - 400 * a * (b - a * a),
-                                200 * (b - a * a)])
+    hess = np.array([[2 - 400 * (b - a * a) + 800 * a * a, -400 * a],
+                     [-400 * a, 200.0]])
+    return f, lambda: (np.array([-2 * (1 - a) - 400 * a * (b - a * a),
+                                 200 * (b - a * a)]),
+                       lambda p: hess @ p)
 
 
 def barrier(x):
     """A quadratic inside the unit ball, +inf outside it."""
     if x @ x >= 1.0:
-        return np.inf, lambda: np.zeros_like(x)
+        return np.inf, lambda: (np.zeros_like(x), lambda p: 0.0 * p)
     f = (x[0] - 0.4) ** 2 + (x[1] + 0.3) ** 2
-    return f, lambda: np.array([2 * (x[0] - 0.4), 2 * (x[1] + 0.3)])
+    return f, lambda: (np.array([2 * (x[0] - 0.4), 2 * (x[1] + 0.3)]),
+                       lambda p: 2.0 * p)
 
 
 def test_quadratic_reaches_solution():
@@ -76,9 +80,10 @@ def test_every_accepted_step_satisfies_armijo():
 
 
 def test_no_gradient_thunk_outlives_its_evaluation():
-    """Every gradient thunk, a rejected trial's included, is dropped by
-    the time the objective is called again, so an objective whose thunk
-    keeps its point alive holds at most one point."""
+    """Every gradient thunk, a rejected trial's included, and every
+    product are dropped by the time the objective is called again, so an
+    objective whose thunk and product keep their point alive holds at
+    most one point."""
     class Point:
         pass
 
@@ -89,7 +94,11 @@ def test_no_gradient_thunk_outlives_its_evaluation():
         f, grad = rosenbrock(x)
         point = Point()
         refs.append(weakref.ref(point))
-        return f, lambda point=point: grad()
+
+        def thunk(point=point):
+            g, product = grad()
+            return g, lambda p, point=point: product(p)
+        return f, thunk
 
     res = minimize_cg(objective, np.array([-1.2, 1.0]), grad_tol=1e-6,
                       max_iter=200)
@@ -99,7 +108,7 @@ def test_no_gradient_thunk_outlives_its_evaluation():
 
 def test_infeasible_start_raises():
     def fg(x):
-        return np.inf, lambda: np.zeros_like(x)
+        return np.inf, lambda: (np.zeros_like(x), lambda p: p)
 
     with pytest.raises(ValueError):
         minimize_cg(fg, np.zeros(3), grad_tol=1e-6)
@@ -142,121 +151,112 @@ def test_already_converged_start():
 
 
 # ---------------------------------------------------------------------------
-# oracle: the value+gradient line search that forms the gradient at every
-# trial point, which the value-only line search must match bit for bit
-
-def _reference_minimize_cg(fun_and_grad, x0, grad_tol, max_iter=2000):
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = fun_and_grad(x)
-    if not np.isfinite(f):
-        raise ValueError("objective is not finite at the initial point")
-    trace = [f]
-    d = -g
-    step = 1.0 / (1.0 + float(np.max(np.abs(g))))
-    status = "max_iter"
-    converged = False
-
-    for it in range(max_iter):
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        if gnorm <= grad_tol:
-            status, converged = "grad_tol", True
-            break
-
-        slope = float(np.dot(g, d))
-        if slope >= 0:
-            d = -g
-            slope = -float(np.dot(g, g))
-
-        f_new, g_new, x_new, step = _reference_armijo(fun_and_grad, x, f, d,
-                                                      slope, step)
-        if f_new is None:
-            if np.array_equal(d, -g):
-                status = "line_search_failed"
-                break
-            d = -g
-            slope = -float(np.dot(g, g))
-            f_new, g_new, x_new, step = _reference_armijo(fun_and_grad, x, f,
-                                                          d, slope, 1.0)
-            if f_new is None:
-                status = "line_search_failed"
-                break
-
-        y = g_new - g
-        denom = float(np.dot(g, g))
-        beta_pr = float(np.dot(g_new, y)) / denom if denom > 0 else 0.0
-        beta_pr = max(0.0, beta_pr)
-        d = -g_new + beta_pr * d
-        x, f, g = x_new, f_new, g_new
-        trace.append(f)
-        step = min(4.0 * step, 1e3)
-
-    n_iter = len(trace) - 1
-    return CGResult(x, f, g, n_iter, converged, status, trace)
-
-
-def _reference_armijo(fun_and_grad, x, f, d, slope, step):
-    for _ in range(MAX_BACKTRACKS):
-        x_new = x + step * d
-        f_new, g_new = fun_and_grad(x_new)
-        if np.isfinite(f_new) and f_new <= f + ARMIJO_C * step * slope:
-            return f_new, g_new, x_new, step
-        step *= ARMIJO_SHRINK
-    return None, None, None, step
-
+# work counts: values everywhere, gradients only where accepted
 
 def _banded(x):
-    """A shifted quadratic whose gradient is not finite (None) in a band
-    of x[0] that the iterates cross, as an overflowing gradient would be."""
-    shift = x - np.array([1.0, -1.0])
-    return (float(np.sum(shift ** 2)),
-            lambda: None if 0.45 < x[0] < 0.55 else 2.0 * shift)
+    """sqrt(1 + x0^2) + (x1 + 1)^2, whose gradient is not finite (None)
+    in a band of x0 that the first Newton step, to -x0^3, reaches with a
+    lower value, as an overflowing gradient would be."""
+    a, b = x
+    root = np.sqrt(1.0 + a * a)
+    hess = np.diag([root ** -3, 2.0])
+    return (root + (b + 1) ** 2,
+            lambda: (None if -0.8 < a < -0.7
+                     else (np.array([a / root, 2 * (b + 1)]),
+                           lambda p: hess @ p)))
 
 
 _M = make_rng(10, 5).standard_normal((8, 8))
-ORACLE_CASES = {
+COUNT_CASES = {
     "quadratic": (quadratic(_M @ _M.T + 0.2 * np.eye(8),
                             make_rng(10, 6).standard_normal(8)),
-                  np.linspace(-1.0, 1.0, 8), 1e-7, 2000),
-    "rosenbrock": (rosenbrock, np.array([-1.2, 1.0]), 1e-8, 20_000),
-    "barrier": (barrier, np.zeros(2), 1e-9, 2000),
-    "nonfinite_gradient": (_banded, np.array([0.0, 0.5]), 1e-9, 2000),
+                  np.linspace(-1.0, 1.0, 8), 1e-7),
+    "rosenbrock": (rosenbrock, np.array([-1.2, 1.0]), 1e-8),
+    "barrier": (barrier, np.array([-0.9, 0.3]), 1e-9),
+    "nonfinite_gradient": (_banded, np.array([0.9, -1.0]), 1e-9),
 }
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_value_only_line_search_matches_reference(case):
-    objective, x0, grad_tol, max_iter = ORACLE_CASES[case]
-    calls = {"grad": 0, "nonfinite": 0}
-
-    def reference_objective(x):
-        # value and gradient at every point; a point without a finite
-        # gradient reads +inf, as the MAP objective's did
-        f, grad = objective(x)
-        g = grad() if np.isfinite(f) else None
-        return (np.inf, None) if g is None else (f, g)
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_thunk_runs_once_per_accepted_point(case):
+    """The thunk runs at the start and at each accepted point, n_iter + 1
+    times, and never at a trial the Armijo test rejects; only a trial
+    that passes it but has no finite gradient adds a call.  The result
+    counts every value, gradient and product."""
+    objective, x0, grad_tol = COUNT_CASES[case]
+    calls = {"value": 0, "grad": 0, "nonfinite": 0, "product": 0}
+    thunk_values = []
 
     def counted_objective(x):
+        calls["value"] += 1
         f, grad = objective(x)
 
         def counted():
-            g = grad()
+            out = grad()
             calls["grad"] += 1
-            calls["nonfinite"] += g is None
-            return g
+            if out is None:
+                calls["nonfinite"] += 1
+                return None
+            thunk_values.append(f)
+            g, product = out
+
+            def counted_product(p):
+                calls["product"] += 1
+                return product(p)
+            return g, counted_product
         return f, counted
 
-    ref = _reference_minimize_cg(reference_objective, x0, grad_tol, max_iter)
-    res = minimize_cg(counted_objective, x0, grad_tol, max_iter)
-
-    assert np.array_equal(res.x, ref.x)
-    assert res.fun == ref.fun
-    assert np.array_equal(res.grad, ref.grad)
-    assert res.trace == ref.trace
-    assert res.n_iter == ref.n_iter
-    assert res.status == ref.status
-    assert res.converged == ref.converged
-    # the gradient is formed at the start, at every accepted point, and at
-    # trial points that pass the Armijo test but have no finite gradient
+    res = minimize_cg(counted_objective, x0, grad_tol, max_iter=200)
+    assert res.converged
     assert calls["grad"] == res.n_iter + 1 + calls["nonfinite"]
+    assert thunk_values == res.trace
+    assert (res.n_values, res.n_gradients, res.n_products) == (
+        calls["value"], calls["grad"], calls["product"])
+    if case in ("rosenbrock", "nonfinite_gradient"):
+        assert calls["value"] > res.n_iter + 1     # trials were rejected
     if case == "nonfinite_gradient":
         assert calls["nonfinite"] > 0
+
+
+def test_first_step_with_negative_curvature_is_steepest_descent():
+    """Where the first inner direction -g has non-positive curvature, the
+    Newton direction is -g, so the first trial is x0 - g(x0)."""
+    def double_well(x):
+        f = x[0] ** 4 - x[0] ** 2 + x[1] ** 2
+        grad = np.array([4 * x[0] ** 3 - 2 * x[0], 2 * x[1]])
+        hess = np.diag([12 * x[0] ** 2 - 2, 2.0])
+        return f, lambda: (grad, lambda p: hess @ p)
+
+    trials = []
+
+    def objective(x):
+        trials.append(x.copy())
+        return double_well(x)
+
+    x0 = np.array([0.1, 0.0])
+    res = minimize_cg(objective, x0, grad_tol=1e-10)
+    g0 = double_well(x0)[1]()[0]
+    assert np.array_equal(trials[1], x0 - g0)
+    assert res.converged
+    assert np.allclose(res.x, [np.sqrt(0.5), 0.0], atol=1e-8)
+
+
+def test_inner_solve_stops_at_the_product_cap():
+    """A Newton system that CG cannot solve within MAX_PRODUCTS products
+    uses exactly that many."""
+    n = 3 * MAX_PRODUCTS
+    a = np.diag(np.logspace(0, 6, n))
+    res = minimize_cg(quadratic(a, np.ones(n)), np.zeros(n), grad_tol=1e-12,
+                      max_iter=1)
+    assert res.n_products == MAX_PRODUCTS
+
+
+def test_per_coordinate_tolerance():
+    """A vector grad_tol bounds each coordinate of the gradient by its
+    own entry: a loose coordinate does not loosen a tight one."""
+    a = np.diag([1.0, 1e-3])
+    b = np.array([1.0, 1.0])
+    res = minimize_cg(quadratic(a, b), np.zeros(2),
+                      grad_tol=np.array([1e-10, 1e3]))
+    assert res.converged
+    assert abs(res.grad[0]) <= 1e-10
