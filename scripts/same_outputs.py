@@ -8,10 +8,11 @@ perfbench/workloads.py (one case where a workload has only one) and the
 extra cases below through ``expfamproj.cli.main``, once per checkout, each
 in a fresh subprocess with BLAS and OpenMP pinned to one thread.  The
 extra cases cover what no workload runs: one reduced beta-sweep, a small
-synthetic ``fit`` with each engine, a sampler ``impute``, and a recipe
-whose replicates all fail.  The case configs come from this
-script and its own perfbench/, which is imported and never written, so
-both checkouts run the same configs against their own src/.
+synthetic ``fit`` with each engine, a MAP ``fit`` with a mean row, a
+sampler ``impute``, and a recipe whose replicates all fail.  The case
+configs come from this script and its own perfbench/, which is imported
+and never written, so both checkouts run the same configs against their
+own src/.
 
 The two output trees are then compared file by file.  Only wall-clock
 values are ignored: ``wall_clock`` in chain manifests, the value of the
@@ -65,6 +66,9 @@ EXTRA_CASES = (
     ("beta-sweep", "experiment", BETA_SWEEP),
     ("fit-map", "fit", _model_config("map", {"max_iter": 100,
                                             "restarts": 2})),
+    ("fit-map-mean-row", "fit", _model_config(
+        "map", {"max_iter": 100, "restarts": 2},
+        layout=dict(SYNTHETIC, mean_row=True))),
     ("fit-hmc", "fit", _model_config(
         "hmc", {"n_samples": 10, "burn_in": 20, "n_leapfrog": 10,
                 "step_size": 0.01, "infer_hyper": True,

@@ -1,7 +1,8 @@
 """Command line runner: single fits, named experiments, and imputation.
 
-One JSON config per run; the subcommand decides its schema.  Validation
-errors always carry the offending field path.  Exit codes: 0 on success,
+One JSON config per run; the subcommand decides its schema.  Every field
+is read by _read_fields through one cast table, so validation errors
+always carry the offending field path.  Exit codes: 0 on success,
 2 for configuration problems, 3 for numeric failures (diverged fits,
 broken chains, singular proposals).
 
@@ -29,12 +30,11 @@ import numpy as np
 from .chains import Chain, save_chain
 from .evaluation import generate_coupled, heldout_loglik
 from .expfam import ConjugateHyper, DomainError, SupportError
-from .experiments import (RECIPES, coerce_fields, expect_bool,
-                          make_recipe_config, run_beta_sweep, write_rows_csv)
+from .experiments import RECIPES, run_beta_sweep, write_rows_csv
 from .gibecca import GibeccaOptions, run_gibecca
-from .hmc_infer import ChainError, ExchangeOptions, HmcOptions, run_hmc_chain
+from .hmc_infer import ChainError, HmcOptions, run_hmc_chain
 from .map_infer import FitError, FoldInError, MapOptions, fit_map
-from .model import (ConfigError, LayoutError, ShapeError, as_int,
+from .model import (ConfigError, LayoutError, ShapeError, as_float, as_int,
                     assemble_theta, load_observations, log_likelihood_theta,
                     make_layout)
 from .prior import PriorSpec
@@ -81,12 +81,6 @@ def _get(d, key, path, default=_MISSING):
     return default
 
 
-def _no_unknown(d, allowed, path):
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown field")
-
-
 def _wrap(path, fn, *args, **kwargs):
     """Run a constructor or loader, tagging any validation error or
     unreadable file with the path."""
@@ -98,61 +92,116 @@ def _wrap(path, fn, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _cast(d, key, path, cast, default=_MISSING):
-    """d[key] (or default) through cast; a failure names path.key."""
-    return _wrap(f"{path}.{key}", cast, _get(d, key, path, default))
-
-
-def build_layout(d, path="layout"):
-    d = _as_dict(d, path)
-    _no_unknown(d, {"model", "view_widths", "ranks", "families", "alpha",
-                    "mean_row"}, path)
-    return _wrap(path, make_layout,
-                 _get(d, "model", path),
-                 _get(d, "view_widths", path),
-                 _get(d, "ranks", path),
-                 _get(d, "families", path),
-                 alpha=d.get("alpha"),
-                 use_mean_row=expect_bool(d.get("mean_row", False),
-                                          f"{path}.mean_row"))
-
-
-def _no_bool(value, path):
-    """value, a number or a list of them, as given; ConfigError naming
-    path where a JSON boolean stands for a number, which Python would
-    take as 0 or 1."""
-    for item in value if isinstance(value, (list, tuple)) else (value,):
-        if isinstance(item, bool):
-            raise ConfigError(f"{path}: expected a number, got {item!r}")
-        if isinstance(item, (list, tuple)):
-            _no_bool(item, path)
+def _as_bool(value):
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
     return value
 
 
+def _as_tuple(value):
+    return tuple(value) if not np.isscalar(value) else (value,)
+
+
+def _as_floats(value):
+    """A number, or a list of numbers or of lists of them, as tuples;
+    null stays None for the constructor's default."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_as_floats, value))
+    return value if value is None else as_float(value)
+
+
+_SCALARS = {"int": as_int, "float": as_float, "bool": _as_bool}
+# a field's kind -> its cast.  The kinds are the annotations of the config
+# dataclasses' fields, "floats" (see _as_floats) and "object", a value
+# passed as given to a constructor that checks it.
+_CASTS = {**_SCALARS,
+          **{f"tuple[{name}, ...]":
+             lambda v, cast=cast: tuple(map(cast, _as_tuple(v)))
+             for name, cast in _SCALARS.items()},
+          "tuple": _as_tuple, "floats": _as_floats, "object": lambda v: v}
+# smallest accepted counts; a section without the field rejects it as
+# unknown first.  The exchange stationarity check compares the means of
+# two halves of the inner trace, so it needs at least one sweep in each;
+# a cross-validation needs two folds.
+_MINIMUMS = {"n_samples": 0, "burn_in": 0, "thin": 1, "n_leapfrog": 1,
+             "restarts": 1, "inner_sweeps": 2, "n_replicates": 1,
+             "n_points": 1, "knn_k": 1, "cv_folds": 2, "knn_folds": 2,
+             "n_rows": 1, "n_train": 1, "n_test": 1}
+# option fields that only code can set
+_UNSETTABLE = {"fix_v", "initial_state"}
+
+
+def _read_fields(values, kinds, path, owner=None):
+    """Keyword arguments from the JSON object values.
+
+    kinds maps each accepted name to a key of _CASTS, or to a dataclass
+    whose fields are read the same way before it is built.  Counts are
+    held to _MINIMUMS.  An unknown name, a failed cast or a count below
+    its floor raises ConfigError naming path.name.
+    """
+    kwargs = {}
+    for key, value in _as_dict(values, path).items():
+        where = f"{path}.{key}"
+        if key not in kinds:
+            raise ConfigError(f"{where}: unknown field for {owner or path}")
+        kind = kinds[key]
+        if dataclasses.is_dataclass(kind):
+            kwargs[key] = _wrap(where, kind, **_read_fields(
+                value, _field_kinds(kind), where, key))
+        else:
+            kwargs[key] = _wrap(where, _CASTS[kind], value)
+        if key in _MINIMUMS and kwargs[key] < _MINIMUMS[key]:
+            raise ConfigError(f"{where}: must be at least "
+                              f"{_MINIMUMS[key]}, got {kwargs[key]}")
+    return kwargs
+
+
+def _field_kinds(cls):
+    """Settable fields' annotations, or the dataclass a default comes from."""
+    return {f.name: f.default_factory
+            if dataclasses.is_dataclass(f.default_factory) else f.type
+            for f in dataclasses.fields(cls) if f.name not in _UNSETTABLE}
+
+
+# the layout fields, which make_layout checks; a synthetic data block
+# takes all but mean_row
+_SHAPE_KINDS = {"model": "object", "view_widths": "object", "ranks": "object",
+                "families": "object", "alpha": "floats"}
+
+
+def _layout(kw, path):
+    return _wrap(path, make_layout, _get(kw, "model", path),
+                 _get(kw, "view_widths", path), _get(kw, "ranks", path),
+                 _get(kw, "families", path), alpha=kw.get("alpha"),
+                 use_mean_row=kw.get("mean_row", False))
+
+
+def build_layout(d, path="layout"):
+    return _layout(_read_fields(d, dict(_SHAPE_KINDS, mean_row="bool"),
+                                path), path)
+
+
+_PRIOR_KINDS = {"beta": "float", "a_hyper": "floats", "sigma_u": "floats",
+                "sigma_v": "floats", "gamma": "floats"}
+
+
 def build_prior(d, path="prior"):
-    d = _as_dict(d, path)
-    _no_unknown(d, {"beta", "a_hyper", "sigma_u", "sigma_v", "gamma"}, path)
-    for key in d:
-        _no_bool(d[key], f"{path}.{key}")
-    raw = _get(d, "a_hyper", path)
-    if not isinstance(raw, (list, tuple)) or not raw:
+    kw = _read_fields(d, _PRIOR_KINDS, path)
+    raw = _get(kw, "a_hyper", path)
+    if not isinstance(raw, tuple) or not raw:
         raise ConfigError(f"{path}.a_hyper: expected [lam, nu] or a list of "
                           "such pairs")
-    if isinstance(raw[0], (list, tuple)):
+    if isinstance(raw[0], tuple):
         hyper = _wrap(f"{path}.a_hyper",
                       lambda: tuple(ConjugateHyper(*pair) for pair in raw))
     else:
         hyper = _wrap(f"{path}.a_hyper", ConjugateHyper, *raw)
     return _wrap(path, PriorSpec,
-                 beta=_get(d, "beta", path), a_hyper=hyper,
-                 sigma_u=d.get("sigma_u", 1.0),
-                 sigma_v=d.get("sigma_v", 1.0),
-                 gamma=d.get("gamma"))
+                 **dict(kw, beta=_get(kw, "beta", path), a_hyper=hyper))
 
 
 _OPTION_CLASSES = {"map": MapOptions, "hmc": HmcOptions,
                    "gibecca": GibeccaOptions}
-_UNSETTABLE = {"fix_v", "initial_state"}
 
 
 def build_options(engine, d, path="options", seed=None):
@@ -160,20 +209,28 @@ def build_options(engine, d, path="options", seed=None):
         raise ConfigError(f"engine: must be one of "
                           f"{sorted(_OPTION_CLASSES)}, got {engine!r}")
     cls = _OPTION_CLASSES[engine]
-    d = dict(_as_dict(d, path)) if d is not None else {}
-    exchange = d.pop("exchange", None)
-    kwargs = coerce_fields(cls, d, path, f"engine {engine}", _UNSETTABLE)
-    if engine == "hmc" and exchange is not None:
-        sub = f"{path}.exchange"
-        sub_kwargs = coerce_fields(ExchangeOptions, _as_dict(exchange, sub),
-                                   sub, "exchange")
-        kwargs["exchange"] = _wrap(sub, ExchangeOptions, **sub_kwargs)
-    elif exchange is not None:
-        raise ConfigError(f"{path}.exchange: only the hmc engine takes "
-                          "exchange options")
+    kwargs = _read_fields({} if d is None else d, _field_kinds(cls), path,
+                          f"engine {engine}")
     if seed is not None:
         kwargs["seed"] = _wrap("seed", as_int, seed)
     return _wrap(path, cls, **kwargs)
+
+
+def make_recipe_config(name, overrides=None, seed=None):
+    """Instantiate a recipe config, checking override names and types."""
+    if name not in RECIPES:
+        raise ConfigError(f"unknown recipe {name!r}; expected one of "
+                          f"{sorted(RECIPES)}")
+    cls = RECIPES[name][0]
+    kwargs = _read_fields(overrides or {}, _field_kinds(cls), "overrides",
+                          name)
+    if seed is not None:
+        kwargs["seed"] = as_int(seed)
+    return cls(**kwargs)
+
+
+_SYNTHETIC_KINDS = dict(_SHAPE_KINDS, n_rows="int", latent_scale="float",
+                        target_scale="float", seed="int")
 
 
 def load_data(d, spect_path=None, path="data"):
@@ -191,27 +248,17 @@ def load_data(d, spect_path=None, path="data"):
         return obs, notice
     d = _as_dict(d, path)
     if "csv" in d:
-        _no_unknown(d, {"csv", "descriptor"}, path)
+        _read_fields(d, {"csv": "object", "descriptor": "object"}, path)
         return _wrap(path, load_observations, d["csv"],
                      _get(d, "descriptor", path)), None
     if "synthetic" in d:
-        _no_unknown(d, {"synthetic"}, path)
+        _read_fields(d, {"synthetic": "object"}, path)
         sub = f"{path}.synthetic"
-        s = _as_dict(d["synthetic"], sub)
-        _no_unknown(s, {"model", "view_widths", "ranks", "families", "alpha",
-                        "n_rows", "latent_scale", "target_scale", "seed"},
-                    sub)
-        layout = build_layout(
-            {k: s[k] for k in ("model", "view_widths", "ranks", "families",
-                               "alpha") if k in s},
-            path=sub)
-        rows = _cast(s, "n_rows", sub, as_int)
-        if rows < 1:
-            raise ConfigError(f"{sub}.n_rows: must be at least 1, got {rows}")
-        data = _wrap(sub, generate_coupled, layout, rows,
-                     seed=_cast(s, "seed", sub, as_int, 0),
-                     latent_scale=_cast(s, "latent_scale", sub, float, 1.0),
-                     target_scale=_cast(s, "target_scale", sub, float, 1.0))
+        s = _read_fields(d["synthetic"], _SYNTHETIC_KINDS, sub)
+        data = _wrap(sub, generate_coupled, _layout(s, sub),
+                     _get(s, "n_rows", sub), seed=s.get("seed", 0),
+                     latent_scale=s.get("latent_scale", 1.0),
+                     target_scale=s.get("target_scale", 1.0))
         return data.train, None
     raise ConfigError(f"{path}: expected 'spect', a csv/descriptor pair, "
                       "or a synthetic block")
@@ -243,9 +290,9 @@ def _write_summary(out_dir, summary, notice=None):
 def _model_config(cfg, args, extra=(), default_engine=_MISSING):
     """(cfg, layout, spec, engine, opts) from the head that fit and impute
     configs share; extra names the command's other fields."""
-    cfg = _as_dict(cfg, "config")
-    _no_unknown(cfg, {"data", "layout", "prior", "engine", "options",
-                      "seed", *extra}, "config")
+    cfg = _read_fields(cfg, dict.fromkeys(
+        ("data", "layout", "prior", "engine", "options", "seed", *extra),
+        "object"), "config")
     layout = build_layout(_get(cfg, "layout", "config"))
     spec = build_prior(_get(cfg, "prior", "config"))
     engine = _get(cfg, "engine", "config", default_engine)
@@ -282,8 +329,8 @@ def cmd_fit(cfg, args):
 
 
 def cmd_experiment(cfg, args):
-    cfg = _as_dict(cfg, "config")
-    _no_unknown(cfg, {"recipe", "overrides"}, "config")
+    cfg = _read_fields(cfg, {"recipe": "object", "overrides": "object"},
+                       "config")
     name = _get(cfg, "recipe", "config")
     recipe_cfg = make_recipe_config(name, cfg.get("overrides"),
                                     seed=args.seed)
@@ -309,12 +356,12 @@ def cmd_experiment(cfg, args):
 def cmd_impute(cfg, args):
     cfg, layout, spec, engine, opts = _model_config(cfg, args, ("holdout",),
                                                     "map")
-    hold = _as_dict(_get(cfg, "holdout", "config"), "holdout")
-    _no_unknown(hold, {"fraction", "seed"}, "holdout")
+    hold = _read_fields(_get(cfg, "holdout", "config"),
+                        {"fraction": "float", "seed": "int"}, "holdout")
     obs, notice = load_data(_get(cfg, "data", "config"), args.spect)
 
-    train, held = make_holdout(obs, _cast(hold, "fraction", "holdout", float),
-                               seed=_cast(hold, "seed", "holdout", as_int, 0))
+    train, held = make_holdout(obs, _get(hold, "fraction", "holdout"),
+                               seed=hold.get("seed", 0))
     if engine == "map":
         fit = fit_map(train, layout, spec, opts)
         thetas = [assemble_theta(fit.state, layout)]

@@ -13,7 +13,6 @@ throws a ConfigError: a setting no replicate can run with ends the run.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -29,8 +28,7 @@ from .expfam import ConjugateHyper, get_family
 from .gibecca import GibeccaOptions, run_gibecca
 from .hmc_infer import HmcOptions, run_hmc_chain
 from .map_infer import MapOptions, cv_select_hyperparams, fit_map, predict_target
-from .model import (ConfigError, ObservationSet, as_int, assemble_theta,
-                    make_layout)
+from .model import ConfigError, ObservationSet, assemble_theta, make_layout
 from .prior import PriorSpec
 from .spect import make_holdout
 
@@ -133,7 +131,7 @@ class EplsVsSepcaConfig:
     k_shared: int = 1
     k_specific: int = 5
     sepca_components: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
-    alphas: tuple = (1.0, 1e-3)
+    alphas: tuple[float, ...] = (1.0, 1e-3)
     beta: float = 0.1
     lam: float = 0.5
     nu: float = 1.0
@@ -299,8 +297,14 @@ class CcaKnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # every replicate scores n_rows latent rows: refuse before any runs
+        # every replicate scores n_rows latent rows of each family: refuse
+        # before any runs
         check_knn_counts(self.knn_k, self.knn_folds, self.n_rows)
+        for name in self.data_families:
+            try:
+                get_family(name)
+            except ValueError as exc:
+                raise ConfigError(f"data_families: {exc}") from None
 
 
 def _gaussian_view(obs: ObservationSet) -> ObservationSet:
@@ -451,62 +455,3 @@ RECIPES = {
     "sampler-bench": (SamplerBenchConfig, run_sampler_bench),
 }
 
-
-def _as_tuple(value):
-    return tuple(value) if not np.isscalar(value) else (value,)
-
-
-_CASTS = {"int": as_int, "float": float, "tuple": _as_tuple,
-          "tuple[int, ...]": lambda v: tuple(map(as_int, _as_tuple(v)))}
-# smallest accepted counts; an engine or recipe without the field rejects
-# it as unknown first.  The exchange stationarity check compares the means
-# of two halves of the inner trace, so it needs at least one sweep in each;
-# a cross-validation needs two folds.
-_MINIMUMS = {"n_samples": 0, "burn_in": 0, "thin": 1, "n_leapfrog": 1,
-             "restarts": 1, "inner_sweeps": 2, "n_replicates": 1,
-             "n_points": 1, "knn_k": 1, "cv_folds": 2, "knn_folds": 2,
-             "n_rows": 1, "n_train": 1, "n_test": 1}
-
-
-def coerce_fields(cls, values, path, owner, unsettable=()):
-    """Keyword arguments for dataclass cls from JSON values.
-
-    Names must be settable fields of cls; values are coerced by the
-    field's annotation (int, float, tuple, tuple of ints) and held to
-    _MINIMUMS, and a bool field takes only a JSON boolean.  Errors name it
-    as path.key.
-    """
-    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in values.items():
-        if key not in kinds or key in unsettable:
-            raise ConfigError(f"{path}.{key}: unknown field for {owner}")
-        if kinds[key] == "bool":
-            expect_bool(value, f"{path}.{key}")
-        try:
-            kwargs[key] = _CASTS.get(kinds[key], lambda v: v)(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.{key}: {exc}") from exc
-        if key in _MINIMUMS and kwargs[key] < _MINIMUMS[key]:
-            raise ConfigError(f"{path}.{key}: must be at least "
-                              f"{_MINIMUMS[key]}, got {kwargs[key]}")
-    return kwargs
-
-
-def expect_bool(value, where):
-    """value when it is a JSON boolean; ConfigError naming where if not."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
-def make_recipe_config(name, overrides=None, seed=None):
-    """Instantiate a recipe config, checking override names and types."""
-    if name not in RECIPES:
-        raise ConfigError(f"unknown recipe {name!r}; expected one of "
-                          f"{sorted(RECIPES)}")
-    cls = RECIPES[name][0]
-    kwargs = coerce_fields(cls, overrides or {}, "overrides", name)
-    if seed is not None:
-        kwargs["seed"] = as_int(seed)
-    return cls(**kwargs)

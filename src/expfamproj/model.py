@@ -55,6 +55,13 @@ def as_int(value) -> int:
     return int(value)
 
 
+def as_float(value) -> float:
+    """value as a float; a bool is refused rather than read as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class BlockLayout:
     """Static description of the factorisation blocks.
@@ -146,8 +153,8 @@ def make_layout(model_kind, view_widths, ranks, families, alpha=None,
     if alpha is None:
         alpha = (1.0,) * n_views
     if np.isscalar(alpha):
-        alpha = (1.0, float(alpha))[:n_views] if n_views == 2 else (float(alpha),)
-    alpha = tuple(float(a) for a in alpha)
+        alpha = (1.0, alpha) if n_views == 2 else (alpha,)
+    alpha = tuple(as_float(a) for a in alpha)
     if len(alpha) != n_views or any(a <= 0 for a in alpha):
         raise LayoutError("alpha needs one positive weight per view")
     if model_kind != "sepca" and any(a != 1.0 for a in alpha):

@@ -381,6 +381,15 @@ def test_config_problems_exit_2(tmp_path, capsys, mutate):
     ("prior", {"a_hyper": [[True, 2.0]]}, "prior.a_hyper"),
     ("prior", {"sigma_u": True}, "prior.sigma_u"),
     ("prior", {"sigma_v": [1.0, True]}, "prior.sigma_v"),
+    ("hmc", {"n_samples": 2, "burn_in": 2, "step_size": True},
+     "options.step_size"),
+    ("gibecca", {"n_samples": 2, "burn_in": 2, "resid_init": True},
+     "options.resid_init"),
+    ("map", {"max_iter": 20, "grad_tol": False}, "options.grad_tol"),
+    ("hmc", {"n_samples": 2, "burn_in": 2, "infer_hyper": True,
+             "exchange": {"inner_sweeps": 4, "prop_scale": True}},
+     "options.exchange.prop_scale"),
+    ("layout", {"alpha": True}, "layout.alpha"),
 ])
 def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
                                            value, field):
@@ -388,8 +397,8 @@ def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
     empty chain, n_leapfrog 0 a traceback, restarts 0 a FitError,
     inner_sweeps 0 or 1 a stationarity check on empty halves, a
     resid_init that is not finite and positive a chain that never
-    accepts or a StageError, and a JSON boolean for a prior number ran
-    as 0 or 1 (beta true as beta 1 with gamma 1 - True = 0)."""
+    accepts or a StageError, and a JSON boolean for a number ran as 0 or
+    1 (beta true as beta 1 with gamma 1 - True = 0)."""
     cfg = _valid_fit_config(tmp_path)
     if section in ("layout", "prior"):
         cfg[section].update(value)
@@ -417,6 +426,11 @@ def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
     ("fit", "synthetic", {"n_rows": "abc"}, "data.synthetic.n_rows"),
     ("impute", "holdout", {"seed": 1.6}, "holdout.seed"),
     ("fit", "synthetic", {"n_rows": 0}, "data.synthetic.n_rows"),
+    ("fit", "synthetic", {"latent_scale": True},
+     "data.synthetic.latent_scale"),
+    ("fit", "synthetic", {"target_scale": False},
+     "data.synthetic.target_scale"),
+    ("impute", "holdout", {"fraction": True}, "holdout.fraction"),
 ])
 def test_mistyped_scalar_names_its_field(tmp_path, capsys, command, section,
                                          value, field):
@@ -437,6 +451,25 @@ def test_mistyped_scalar_names_its_field(tmp_path, capsys, command, section,
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", path,
                  "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("recipe, overrides, field", [
+    ("epls-vs-sepca", {"beta": True}, "overrides.beta"),
+    ("epls-vs-sepca", {"latent_scale": False}, "overrides.latent_scale"),
+    ("epls-vs-sepca", {"alphas": [1.0, True]}, "overrides.alphas"),
+    ("sampler-bench", {"hmc_step": True}, "overrides.hmc_step"),
+    ("beta-sweep", {"holdout_fraction": True}, "overrides.holdout_fraction"),
+    ("cca-knn", {"data_families": ["poisson", "gamma"]}, "data_families"),
+])
+def test_bad_override_names_its_field(tmp_path, capsys, recipe, overrides,
+                                      field):
+    """A JSON boolean for a recipe number ran as 0 or 1, and an unknown
+    cca-knn family made every replicate a failure row; both exited 0."""
+    cfg = _write_json(tmp_path / "cfg.json",
+                      {"recipe": recipe, "overrides": overrides})
+    assert main(["experiment", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
 
 

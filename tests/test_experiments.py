@@ -5,10 +5,10 @@ import csv
 import numpy as np
 import pytest
 
+from expfamproj.cli import make_recipe_config
 from expfamproj.experiments import (BetaSweepConfig, CcaKnnConfig,
                                     EplsVsSepcaConfig, SamplerBenchConfig,
-                                    _seed_int, make_recipe_config,
-                                    run_beta_sweep, run_cca_knn,
+                                    _seed_int, run_beta_sweep, run_cca_knn,
                                     run_epls_vs_sepca, run_sampler_bench,
                                     write_rows_csv, CSV_FIELDS)
 from expfamproj.model import ConfigError
@@ -67,6 +67,7 @@ def test_make_recipe_config_coercion_and_seed():
     ("sampler-bench", {"n_rows": 0}),
     ("epls-vs-sepca", {"n_train": 0}),
     ("epls-vs-sepca", {"n_test": 0}),
+    ("cca-knn", {"data_families": ["gamma"]}),
 ])
 def test_make_recipe_config_rejects(name, overrides):
     with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
-"""Geweke joint-distribution test of one alternating-sampler sweep.
+"""Geweke joint-distribution tests of one alternating-sampler sweep and
+of one HMC transition.
 
 A kernel that leaves p(params | x) invariant, alternated with a fresh
 x ~ p(x | Theta), leaves the joint p(params, x) invariant (Geweke 2004,
@@ -13,15 +14,23 @@ Theta itself,
 
 at fixed variances.  Its exact draws come from the Gaussian part by
 rejection on a(Theta)^beta, bounded by the conjugate kernel's maximum.
+
+The HMC transition's joint is the composite prior with the likelihood,
+
+    a(U V)^beta b(U)^gamma c(V)^gamma p(x | U V),
+
+whose exact draws come the same way: the Gaussian part at variances
+sigma / gamma, rejection on a(U V)^beta, and no Theta noise.
 """
 
 import numpy as np
 import pytest
 
-from expfamproj import (ConjugateHyper, ObservationSet, PriorSpec,
-                        gibbs_gaussian_stage, make_layout, mh_accept_elements,
-                        propose_theta_rows)
+from expfamproj import (ConjugateHyper, FactorState, ObservationSet,
+                        PriorSpec, gibbs_gaussian_stage, hmc_step,
+                        make_layout, mh_accept_elements, propose_theta_rows)
 from expfamproj.gibecca import GaussianStageState, stage_plan
+from expfamproj.map_infer import FreeParams
 
 from conftest import batch_means_se, make_rng
 
@@ -30,6 +39,10 @@ VAR_U, VAR_V, RESID = 4.0, 1.0, 0.5
 N_SWEEPS = 20_000
 STAT_NAMES = ("theta00^2", "theta04^2", "v00^2", "v11^2", "(uS vS)05^2",
               "x12 theta12")
+HMC_STEP, HMC_LEAPFROG = 0.15, 8
+HMC_STEPS = 30_000
+HMC_STAT_NAMES = ("theta00^2", "theta13^2", "u00^2", "v11^2", "v23^2",
+                  "x12 theta12")
 
 
 def _statistics(u, v, theta, x):
@@ -37,6 +50,13 @@ def _statistics(u, v, theta, x):
     return np.stack([theta[..., 0, 0] ** 2, theta[..., 0, 4] ** 2,
                      v[..., 0, 0] ** 2, v[..., 1, 1] ** 2,
                      (u[..., 0, 0] * v[..., 0, 5]) ** 2,
+                     x[..., 1, 2] * theta[..., 1, 2]], axis=-1)
+
+
+def _hmc_statistics(u, v, theta, x):
+    """The HMC test's statistics of one state or of a stack of states."""
+    return np.stack([theta[..., 0, 0] ** 2, theta[..., 1, 3] ** 2,
+                     u[..., 0, 0] ** 2, v[..., 1, 1] ** 2, v[..., 2, 3] ** 2,
                      x[..., 1, 2] * theta[..., 1, 2]], axis=-1)
 
 
@@ -48,22 +68,25 @@ def _draw_x(layout, theta, rng):
     return x
 
 
-def _joint_draws(layout, spec, theta_max, n, rng):
+def _joint_draws(layout, spec, theta_max, n, rng, var_u=VAR_U, var_v=VAR_V,
+                 resid=RESID):
     """n exact draws of (U, V, Theta, x), stacked on a leading axis.
 
-    Proposals come from the Gaussian part in batches; each is kept with
-    probability prod exp(beta * [k(theta) - k(theta_max)]), k the
-    conjugate kernel, whose maximiser is theta_max.
+    Proposals come from the Gaussian part, U and V at variances var_u and
+    var_v and Theta = U V plus noise of variance resid (none at 0), in
+    batches; each is kept with probability
+    prod exp(beta * [k(theta) - k(theta_max)]), k the conjugate kernel,
+    whose maximiser is theta_max.
     """
     k, d = layout.k_total, layout.d_total
     hyper = spec.a_hyper[0]
     kept = []
     while sum(len(b[0]) for b in kept) < n:
         m = 4 * n
-        u = np.sqrt(VAR_U) * rng.standard_normal((m, N_ROWS, k))
-        v = np.sqrt(VAR_V) * rng.standard_normal((m, k, d))
+        u = np.sqrt(var_u) * rng.standard_normal((m, N_ROWS, k))
+        v = np.sqrt(var_v) * rng.standard_normal((m, k, d))
         v[:, layout.zero_mask] = 0.0
-        theta = u @ v + np.sqrt(RESID) * rng.standard_normal((m, N_ROWS, d))
+        theta = u @ v + np.sqrt(resid) * rng.standard_normal((m, N_ROWS, d))
         log_w = np.zeros(m)
         for i, fam in enumerate(layout.families):
             cols = theta[..., layout.cols_view[i]]
@@ -121,3 +144,48 @@ def test_gibecca_sweep_keeps_the_joint(family, beta, theta_max):
     print(f"[geweke] {family} beta={beta}: " + ", ".join(
         f"{name} z={val:+.2f}" for name, val in zip(STAT_NAMES, z)))
     assert np.all(np.abs(z) < 4.0), dict(zip(STAT_NAMES, z.round(2)))
+
+
+def _hmc_chain(layout, spec, start, n_steps, rng):
+    """Statistics of n_steps steps: one hmc_step given x, then a fresh
+    x ~ p(x | U V)."""
+    u, v, _, x = start
+    state = FactorState(u, v)
+    free = FreeParams(layout, state)
+    observed = np.ones(x.shape, dtype=bool)
+    stats = np.empty((n_steps, len(HMC_STAT_NAMES)))
+    for t in range(n_steps):
+        obs = ObservationSet(x, observed, layout.view_widths,
+                             layout.families)
+        state, _ = hmc_step(state, obs, layout, spec, HMC_STEP, HMC_LEAPFROG,
+                            rng, free)
+        theta = state.u @ state.v
+        x = _draw_x(layout, theta, rng)
+        stats[t] = _hmc_statistics(state.u, state.v, theta, x)
+    return stats
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, theta_max", [
+    ("poisson", np.log(0.5 / 1.0)),
+    ("bernoulli", 0.0),
+])
+def test_hmc_step_keeps_the_joint(family, theta_max):
+    """2 x (2 + 2) ecca, ranks (1, 1, 1), beta = 0.3, (lam, nu) = (0.5, 1),
+    unit sigma: every statistic's chain mean lies within 4 standard errors
+    of the exact one."""
+    layout = make_layout("ecca", (2, 2), (1, 1, 1), (family, family))
+    spec = PriorSpec(beta=0.3, a_hyper=ConjugateHyper(0.5, 1.0))
+    var_u, var_v = (s[0] / spec.gamma for s in spec.sigmas(layout))
+    rng = make_rng(16, 2)
+    u, v, theta, x = _joint_draws(layout, spec, theta_max, HMC_STEPS + 1,
+                                  rng, var_u, var_v, resid=0.0)
+    exact = _hmc_statistics(u[1:], v[1:], theta[1:], x[1:])
+    chain = _hmc_chain(layout, spec, (u[0], v[0], theta[0], x[0]),
+                       HMC_STEPS, rng)
+    se = np.hypot([batch_means_se(c) for c in chain.T],
+                  exact.std(axis=0, ddof=1) / np.sqrt(len(exact)))
+    z = (chain.mean(axis=0) - exact.mean(axis=0)) / se
+    print(f"[geweke] hmc {family} beta={spec.beta}: " + ", ".join(
+        f"{name} z={val:+.2f}" for name, val in zip(HMC_STAT_NAMES, z)))
+    assert np.all(np.abs(z) < 4.0), dict(zip(HMC_STAT_NAMES, z.round(2)))

@@ -11,8 +11,8 @@ from expfamproj import (ConfigError, ConjugateHyper, FactorState,
                         assemble_theta, get_family,
                         load_observations, log_likelihood,
                         log_likelihood_theta, make_layout)
-from expfamproj.model import (EntryTerms, as_int, likelihood_terms,
-                              log_pdf_sums_at)
+from expfamproj.model import (EntryTerms, as_float, as_int,
+                              likelihood_terms, log_pdf_sums_at)
 
 from conftest import dense_observations, make_rng
 
@@ -103,6 +103,16 @@ def test_as_int_accepts_whole_values_only():
         make_layout("epca", 5.5, 2, "gaussian")
     with pytest.raises(ValueError):
         make_layout("epls", (1, 8), (2, 3.5), ("gaussian", "poisson"))
+
+
+def test_as_float_refuses_bools():
+    """Number fields used to go through float(), which reads True as 1."""
+    assert as_float(2) == 2.0 and type(as_float(2)) is float
+    assert as_float("0.5") == 0.5
+    assert as_float(np.float64(1.5)) == 1.5
+    for bad in (True, np.bool_(False), None, [1.0], "x"):
+        with pytest.raises((TypeError, ValueError)):
+            as_float(bad)
 
 
 def test_epls_rank_shorthand():
