@@ -205,7 +205,8 @@ _OPTION_CLASSES = {"map": MapOptions, "hmc": HmcOptions,
 
 
 def build_options(engine, d, path="options", seed=None):
-    if engine not in _OPTION_CLASSES:
+    # a list or dict cannot be looked up, so the type is checked first
+    if not isinstance(engine, str) or engine not in _OPTION_CLASSES:
         raise ConfigError(f"engine: must be one of "
                           f"{sorted(_OPTION_CLASSES)}, got {engine!r}")
     cls = _OPTION_CLASSES[engine]
@@ -218,9 +219,9 @@ def build_options(engine, d, path="options", seed=None):
 
 def make_recipe_config(name, overrides=None, seed=None):
     """Instantiate a recipe config, checking override names and types."""
-    if name not in RECIPES:
-        raise ConfigError(f"unknown recipe {name!r}; expected one of "
-                          f"{sorted(RECIPES)}")
+    if not isinstance(name, str) or name not in RECIPES:
+        raise ConfigError(f"recipe: must be one of {sorted(RECIPES)}, "
+                          f"got {name!r}")
     cls = RECIPES[name][0]
     kwargs = _read_fields(overrides or {}, _field_kinds(cls), "overrides",
                           name)

@@ -354,16 +354,23 @@ def _fold_in(obs, state, layout, spec, max_iter):
         (V diag(c_n) V^T + gamma diag(1 / sigma_u)) step = grad f_n(u),
 
     c_n the kernel's curvature, on the stack of every unconverged row at
-    once; each row then backtracks on its own (see _backtrack).
+    once; each row then backtracks on its own (see _backtrack).  The
+    kernel scores every row at u = 0 and after that only the rows still
+    iterating (kernel.rows): a row that has converged drops out, and the
+    g(Theta) that slopes and curvature read at an accepted point is the
+    one its line search scored there, so no point is scored twice.
+    V diag(c_n) V^T for every row is one product C VV, VV the D x K^2
+    outer products of V's columns, formed once.
     """
     kernel = spec.entry_terms(layout, obs)
-    v, n = state.v, obs.n_rows
+    v, n, k = state.v, obs.n_rows, layout.k_total
     prec = spec.gamma / spec.sigmas(layout)[0]
+    vv = (v[:, None, :] * v[None, :, :]).reshape(k * k, -1).T
 
     def theta_of(u_rows):
         return assemble_theta(FactorState(u_rows, v, state.mean_row), layout)
 
-    u = np.zeros((n, layout.k_total))
+    u = np.zeros((n, k))
     with np.errstate(over="ignore", invalid="ignore"):
         theta = theta_of(u)
         out = kernel.score(theta)
@@ -371,63 +378,67 @@ def _fold_in(obs, state, layout, spec, max_iter):
             raise FoldInError("fold-in started infeasible: Theta at u = 0 "
                               "is outside the family domain")
         f, gs = np.sum(out[0], axis=1), out[1]
-        dlogp = kernel.slopes(theta, gs)
         active = np.arange(n)
         for it in range(max_iter + 1):
-            grad = dlogp[active] @ v.T - prec * u[active]
-            curv = kernel.curvature(theta, gs)[active]
-            hess = (v * curv[:, None, :]) @ v.T + np.diag(prec)
+            terms = kernel.rows(active)
+            th, g_act = theta[active], [g[active] for g in gs]
+            grad = terms.slopes(th, g_act) @ v.T - prec * u[active]
+            curv = terms.curvature(th, g_act)
+            hess = (curv @ vv).reshape(-1, k, k) + np.diag(prec)
             try:
                 step = np.linalg.solve(hess, grad[..., None])[..., 0]
             except np.linalg.LinAlgError as exc:
-                n_bad = int(np.sum(np.linalg.matrix_rank(hess) < len(prec)))
+                n_bad = int(np.sum(np.linalg.matrix_rank(hess) < k))
                 raise FoldInError(f"fold-in Hessian singular in {n_bad} of "
                                   f"{n} rows") from exc
             gain = 0.5 * np.sum(grad * step, axis=1)
             going = ~(gain <= NEWTON_DECREMENT_TOL)
             active, step, gain = active[going], step[going], gain[going]
             if active.size and it < max_iter:
-                failed = _backtrack(kernel, theta_of, prec, u, theta, f,
+                failed = _backtrack(kernel, theta_of, prec, u, theta, f, gs,
                                     active, step, gain)
                 if not np.all(gain[failed] <= UNRESOLVED_GAIN_TOL):
                     raise FoldInError(
                         f"fold-in line search failed in {failed.size} of "
                         f"{n} rows")
                 active = np.delete(active, failed)
-                gs = kernel.score(theta)[1]
-                dlogp = kernel.slopes(theta, gs)
             if not active.size:
                 return u
     raise FoldInError(f"fold-in not converged in {active.size} of {n} rows "
                       f"after {max_iter} Newton iterations")
 
 
-def _backtrack(kernel, theta_of, prec, u, theta, f, rows, step, gain):
+def _backtrack(kernel, theta_of, prec, u, theta, f, gs, rows, step, gain):
     """Armijo backtracking on values, row by row, along the Newton steps
     of the given rows, whose slope is twice their gain.  Each row halves
-    only its own step.  A trial row outside the domain, or whose value
-    overflows, fails the test like one that gains too little; it is
-    scored at its current point so that the kernel sees only rows in the
-    domain.  Updates u, theta and f in place for the rows that accept a
-    step, and returns the positions (into rows) of those that did not.
+    only its own step, and each trial scores only the rows still
+    backtracking, with kernel.rows.  A trial row outside the domain, or
+    whose value overflows, fails the test like one that gains too
+    little; it is scored at its current point so that the kernel sees
+    only rows in the domain.  Updates u, theta, f and each view's g(Theta)
+    in gs in place for the rows that accept a step, and returns the
+    positions (into rows) of those that did not.
     """
     t = np.ones(rows.size)
     todo = np.arange(rows.size)
     for _ in range(MAX_BACKTRACKS):
         idx = rows[todo]
         u_try = u[idx] + t[todo, None] * step[todo]
-        trial = theta.copy()
-        trial[idx] = theta_of(u_try)
+        trial = theta_of(u_try)
         ok = kernel.in_domain(trial[:, None, :])
-        trial[~ok] = theta[~ok]
-        f_try = (np.sum(kernel.score(trial)[0][idx], axis=1)
+        trial[~ok] = theta[idx[~ok]]
+        vals, g_try = kernel.rows(idx).score(trial)
+        f_try = (np.sum(vals, axis=1)
                  - 0.5 * np.sum(prec * u_try * u_try, axis=1))
-        f_try[~ok[idx]] = -np.inf
+        f_try[~ok] = -np.inf
         # the gain itself is tested: added to f, a gain below f's rounding
         # would vanish and a step that does not move would pass
         accept = f_try - f[idx] >= 2.0 * ARMIJO_C * t[todo] * gain[todo]
         hit = idx[accept]
-        u[hit], theta[hit], f[hit] = u_try[accept], trial[hit], f_try[accept]
+        u[hit], theta[hit] = u_try[accept], trial[accept]
+        f[hit] = f_try[accept]
+        for g, g_hit in zip(gs, g_try):
+            g[hit] = g_hit[accept]
         todo = todo[~accept]
         if not todo.size:
             break

@@ -20,6 +20,7 @@ coefficients carry the data.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 from dataclasses import dataclass, field
@@ -287,7 +288,8 @@ class EntryTerms:
     entry with b = 0 (unobserved at beta = 0) adds exactly 0 to every
     term, even where g overflows.  With neither data nor beta > 0 nothing
     is scored (no domain check either).  The column slices cols partition
-    the columns of theta.
+    the columns of theta.  rows(idx) gives the kernel of rows idx alone,
+    for a caller that scores only some rows of theta.
     """
 
     def __init__(self, families, cols, x=None, mask=None, weights=None,
@@ -306,6 +308,17 @@ class EntryTerms:
                 c = np.where(m, fam._h(x[:, view]), 0.0) * w
             self.views.append((fam, view, a, b, _nonzero_or_none(c),
                                _nonzero_or_none(b == 0)))
+
+    def rows(self, idx):
+        """The same kernel on rows idx of the data: each view's N-row
+        coefficients and unscored mask sliced to those rows, scalars
+        and None kept.  Its terms at theta[idx] equal rows idx of this
+        kernel's terms at theta."""
+        sub = copy.copy(self)
+        sub.views = [(fam, cols, *(arr[idx] if np.ndim(arr) == 2 else arr
+                                   for arr in coefs))
+                     for fam, cols, *coefs in self.views]
+        return sub
 
     def _alloc(self, theta):
         """An array shaped like theta for per-entry output: the views
@@ -351,12 +364,17 @@ class EntryTerms:
             np.subtract(a, b * _zero_at(mu, unscored), out=grad[..., cols])
         return grad
 
-    def curvature(self, theta, gs):
+    def curvature(self, theta, gs, out=None):
         """Minus the second derivative of the entry terms wrt theta,
         shaped like theta, from theta and the per-view g(theta) that
         score returned for it: b g''(theta).  Every entry of theta must
-        lie in the domain."""
-        out = self._alloc(theta)
+        lie in the domain.  out, when given, receives the result and may
+        be theta itself: each view reads its own columns of theta before
+        it writes them."""
+        if out is None:
+            out = self._alloc(theta)
+        elif not self.views:
+            out[...] = 0.0
         for (fam, cols, a, b, c, unscored), g in zip(self.views, gs):
             g2 = fam._gsecond_at(theta[..., cols], g)
             np.multiply(b, _zero_at(g2, unscored), out=out[..., cols])

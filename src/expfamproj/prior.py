@@ -208,7 +208,8 @@ class PreparedDensity:
         with h_v zero on the structural zeros.  d_v None holds V fixed
         and d_mean None the mean row (h_mean is None without one).  The
         held point of a gradient call at state gives W, and C is formed
-        from it once, after which its Theta and g(Theta) are freed; at any
+        from it once, in its Theta's buffer, after which g(Theta) is
+        freed, so that Theta, g(Theta), W and C never coexist; at any
         other state the state is scored first.  C o dTheta is formed a
         block of rows at a time, so that it stays in cache while it is
         used three times.
@@ -219,7 +220,8 @@ class PreparedDensity:
             self(state, want_grad=True)
             point = self._point
         if point.c is None:
-            point.c = self.kernel.curvature(point.theta, point.gs)
+            point.c = self.kernel.curvature(point.theta, point.gs,
+                                            out=point.theta)
             point.theta = point.gs = None
         u, v, w, c = state.u, state.v, point.w, point.c
         if d_v is None:

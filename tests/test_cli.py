@@ -431,12 +431,14 @@ def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
     ("fit", "synthetic", {"target_scale": False},
      "data.synthetic.target_scale"),
     ("impute", "holdout", {"fraction": True}, "holdout.fraction"),
+    ("fit", "config", {"engine": ["map"]}, "engine"),
 ])
 def test_mistyped_scalar_names_its_field(tmp_path, capsys, command, section,
                                          value, field):
     """These scalars used to be cast outside the field checks, so a
     mistyped one exited 3 as a numeric failure that named no field; a
-    fractional integer was truncated, and a fractional n_rows raised."""
+    fractional integer was truncated, a fractional n_rows raised, and a
+    list for engine raised TypeError (unhashable) and exited 1."""
     cfg = _valid_fit_config(tmp_path)
     if command == "impute":
         cfg["holdout"] = {"fraction": 0.2, "seed": 1}
@@ -461,11 +463,13 @@ def test_mistyped_scalar_names_its_field(tmp_path, capsys, command, section,
     ("sampler-bench", {"hmc_step": True}, "overrides.hmc_step"),
     ("beta-sweep", {"holdout_fraction": True}, "overrides.holdout_fraction"),
     ("cca-knn", {"data_families": ["poisson", "gamma"]}, "data_families"),
+    (["cca-knn"], {}, "recipe"),
 ])
 def test_bad_override_names_its_field(tmp_path, capsys, recipe, overrides,
                                       field):
     """A JSON boolean for a recipe number ran as 0 or 1, and an unknown
-    cca-knn family made every replicate a failure row; both exited 0."""
+    cca-knn family made every replicate a failure row; both exited 0.  A
+    list for the recipe raised TypeError (unhashable) and exited 1."""
     cfg = _write_json(tmp_path / "cfg.json",
                       {"recipe": recipe, "overrides": overrides})
     assert main(["experiment", "--config", cfg,

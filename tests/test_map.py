@@ -614,6 +614,106 @@ def test_fold_in_poisson_large_counts_are_finite(monkeypatch):
     assert np.all(np.isfinite(pred.means)) and np.all(pred.means > 0.0)
 
 
+def _poisson_rates_fold_in(seed, observed_frac=1.0):
+    """A Poisson epls fold-in of 40 rows whose view-2 rates run from 0.1
+    to 300, so that rows converge after different numbers of Newton
+    iterations; view 1 holds zeros, and a fraction of view 2 is
+    observed."""
+    lay = make_layout("epls", (2, 8), (1, 2), ("poisson", "poisson"),
+                      use_mean_row=True)
+    rng = make_rng(12, seed)
+    v = 0.5 * rng.standard_normal((lay.k_total, lay.d_total))
+    v[lay.zero_mask] = 0.0
+    state = FactorState(np.zeros((3, lay.k_total)), v,
+                        np.full(lay.d_total, 1.0))
+    x = np.zeros((40, lay.d_total))
+    x[:, 2:] = rng.poisson(rng.uniform(0.1, 300.0, (40, 1)), (40, 8))
+    observed = rng.random(x.shape) < observed_frac
+    obs = ObservationSet(x, observed, lay.view_widths, lay.families)
+    spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.5, 1.0))
+    return lay, state, obs, spec
+
+
+def test_fold_in_scores_only_the_rows_still_iterating(monkeypatch):
+    """The kernel scores every row once, at u = 0.  After that the slopes
+    and curvature of each Newton iteration see exactly the rows still
+    iterating, and score runs only inside the line search, on the rows
+    still trying a step: no accepted point is scored again, and no row
+    is seen after the iteration at which it converged.  Rows are told
+    apart by their view-2 counts, which are the kernel's coefficients
+    a on view 2."""
+    lay, state, obs, spec = _poisson_rates_fold_in(13)
+    n, cols2 = obs.n_rows, lay.cols_view[1]
+    row_of = {row.tobytes(): i for i, row in enumerate(obs.x[:, cols2])}
+    assert len(row_of) == n
+    events = []
+
+    def spy_on(name):
+        method = getattr(model.EntryTerms, name)
+
+        def spy(self, *args, **kwargs):
+            a2 = self.views[1][2]
+            events.append((name, frozenset(row_of[r.tobytes()] for r in a2)))
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(model.EntryTerms, name, spy)
+
+    for name in ("score", "slopes", "curvature"):
+        spy_on(name)
+    backtrack = map_infer._backtrack
+
+    def backtrack_spy(*args):
+        rows = args[-3]
+        events.append(("backtrack", frozenset(rows)))
+        failed = backtrack(*args)
+        events.append(("return", frozenset(np.delete(rows, failed))))
+        return failed
+
+    monkeypatch.setattr(map_infer, "_backtrack", backtrack_spy)
+    pred = predict_target(obs, state, lay, spec)
+    assert np.all(np.isfinite(pred.u))
+
+    assert events[0] == ("score", frozenset(range(n)))
+    active, trying, sizes = frozenset(range(n)), None, []
+    for name, rows in events[1:]:
+        if name == "backtrack":
+            assert rows <= active
+            trying = rows
+        elif name == "return":
+            active, trying = rows, None
+        elif name == "score":
+            assert trying is not None and rows <= trying
+            trying = rows
+        else:
+            assert rows == active
+            sizes.append(len(rows))
+    # rows converged at more than one iteration before the last
+    assert len(set(sizes)) >= 3
+
+
+def test_fold_in_of_a_row_subset_matches_the_full_fold_in():
+    """Each row is its own problem: rows folded in on their own get the
+    u they get in the full fold-in, and the kernel of those rows alone
+    (EntryTerms.rows) scores them exactly as the full kernel does, with
+    a partly observed view whose b, c and unscored mask are arrays."""
+    lay, state, obs, spec = _poisson_rates_fold_in(14, observed_frac=0.8)
+    idx = np.array([31, 2, 17, 5, 6, 39])
+    full = predict_target(obs, state, lay, spec)
+    part = predict_target(obs.subset_rows(idx), state, lay, spec)
+    np.testing.assert_allclose(part.u, full.u[idx], rtol=1e-12, atol=0.0)
+
+    kernel = spec.entry_terms(lay, obs)
+    theta = make_rng(12, 15).standard_normal((obs.n_rows, lay.d_total))
+    vals, gs = kernel.score(theta)
+    sub = kernel.rows(idx)
+    sub_vals, sub_gs = sub.score(theta[idx])
+    assert np.array_equal(sub_vals, vals[idx])
+    assert all(np.array_equal(s, g[idx]) for s, g in zip(sub_gs, gs))
+    assert np.array_equal(sub.slopes(theta[idx], sub_gs),
+                          kernel.slopes(theta, gs)[idx])
+    assert np.array_equal(sub.curvature(theta[idx], sub_gs),
+                          kernel.curvature(theta, gs)[idx])
+
+
 def test_fold_in_optimum_on_the_domain_edge_raises():
     """The view-1 entries are not scored at fold-in, but their Theta must
     stay in the domain.  Here view 2 pulls u to 3.75 while the exponential
