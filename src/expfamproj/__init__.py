@@ -21,7 +21,7 @@ from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
                     ObservationSet, ShapeError, assemble_theta,
                     load_observations, log_likelihood, log_likelihood_theta,
                     make_layout)
-from .prior import PriorSpec, log_density, log_prior_unnorm
+from .prior import PriorSpec, log_prior_unnorm
 
 __all__ = [
     "BERNOULLI", "BlockLayout", "Chain", "ChainError", "ConfigError",
@@ -33,7 +33,7 @@ __all__ = [
     "StatError", "SupportError", "assemble_theta", "cv_select_hyperparams",
     "exchange_update_hyper", "fit_map", "generate_coupled", "get_family",
     "gibbs_gaussian_stage", "heldout_loglik", "hmc_step", "knn_latent_error",
-    "load_chain", "load_observations", "log_density", "log_likelihood",
+    "load_chain", "load_observations", "log_likelihood",
     "log_likelihood_theta", "make_layout", "mh_accept_elements",
     "paired_significance", "predict_target", "prediction_error",
     "propose_theta_rows", "run_gibecca", "run_hmc_chain",

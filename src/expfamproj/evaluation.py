@@ -13,7 +13,8 @@ import numpy as np
 from scipy import special
 
 from .chains import Chain
-from .model import BlockLayout, ConfigError, ObservationSet, log_pdf_sums_at
+from .model import (BlockLayout, ConfigError, EntryTerms, ObservationSet,
+                    log_likelihood_theta)
 
 
 class MaskError(ValueError):
@@ -105,7 +106,10 @@ def heldout_loglik(thetas, obs: ObservationSet, held_mask: np.ndarray,
         raise MaskError("held-out entries overlap the training mask")
     if len(thetas) == 0:
         raise StatError("no Theta samples")
-    lls = np.array(log_pdf_sums_at(obs, thetas, layout, held_mask))
+    # unweighted: held-out scoring applies no alpha
+    kernel = EntryTerms(layout.families, layout.cols_view, obs.x, held_mask)
+    lls = np.array([log_likelihood_theta(obs, theta, layout, kernel=kernel)
+                    for theta in thetas])
     return float(special.logsumexp(lls) - np.log(lls.size))
 
 

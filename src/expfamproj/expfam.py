@@ -138,11 +138,10 @@ class Family:
     def _gprime(self, theta):
         raise NotImplementedError
 
-    def _g_and_gprime(self, theta, g):
-        """(g, g'(theta)) for g = g(theta) already computed, which is
-        returned as it is.  A family whose g' can reuse g overrides
-        this."""
-        return g, self._gprime(theta)
+    def _gprime_at(self, theta, g):
+        """g'(theta) for g = g(theta) already computed.  A family whose
+        g' can reuse g overrides this."""
+        return self._gprime(theta)
 
     def _gsecond(self, theta):
         """g''(theta), the variance of x under theta."""
@@ -229,9 +228,9 @@ class PoissonLog(Family):
         with np.errstate(over="ignore"):
             return np.exp(theta)
 
-    def _g_and_gprime(self, theta, g):
-        # g' = g = e^theta: the exp already taken serves both
-        return g, g
+    def _gprime_at(self, theta, g):
+        # g' = g = e^theta
+        return g
 
     def _gsecond(self, theta):
         with np.errstate(over="ignore"):

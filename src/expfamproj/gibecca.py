@@ -318,8 +318,9 @@ def run_gibecca(obs: ObservationSet, layout: BlockLayout, spec: PriorSpec,
             n_acc_sample += int(accepted.sum())
 
         if kept:
-            rec.record(FactorState(stage.u.copy(), stage.v.copy()),
-                       theta.copy())
+            # each sweep's U, V and Theta are new arrays that nothing
+            # writes into later, so they are stored as they are
+            rec.record(FactorState(stage.u, stage.v), theta)
             var_u_trace.append(stage.var_u.tolist())
             var_v_trace.append(stage.var_v.tolist())
             resid_trace.append(stage.resid.tolist())

@@ -11,11 +11,14 @@ divided, per component, by the square roots of their prior variances,
 so the Gaussian blocks' curvature is gamma on every factor coordinate.
 The convergence test still bounds the gradient in U, V and the mean row
 by grad_tol.  FreeParams.log_density hands HMC the posterior itself, in
-the unwhitened coordinates.  The likelihood and the conjugate prior term
-come together from the model's EntryTerms as one conjugate kernel per
-entry, a theta - b g(theta) + c, whose N x D value matrix is reduced by a
-single sum, so that a two-view layout with unit alpha produces
-bit-identical numbers to the equivalent single-view layout.
+the unwhitened coordinates.  posterior_logp_and_grad is the one entry
+point to the log posterior, through prior.PreparedDensity.  The
+likelihood and the conjugate prior term come together from the model's
+EntryTerms as one conjugate kernel per entry, a theta - b g(theta) + c,
+whose N x D value matrix is reduced by a single sum, so that a two-view
+layout with unit alpha produces bit-identical numbers to the equivalent
+single-view layout.  Cross-validation scores each fold's fit with
+evaluation.heldout_loglik.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evaluation import heldout_loglik
 from .expfam import ConjugateHyper, DomainError
 from .model import (BlockLayout, ConfigError, FactorState, LayoutError,
-                    ObservationSet, assemble_theta, log_pdf_sums_at)
+                    ObservationSet, assemble_theta)
 from .optimize import (ARMIJO_C, ARMIJO_SHRINK, MAX_BACKTRACKS,
                        minimize_cg)
-from .prior import PreparedDensity, PriorSpec, log_density
+from .prior import PreparedDensity, PriorSpec
 
 
 class FitError(RuntimeError):
@@ -164,9 +168,9 @@ def posterior_logp_and_grad(state: FactorState, obs: ObservationSet,
                             layout: BlockLayout, spec: PriorSpec,
                             want_grad=True, *, kernel=None):
     """Unnormalised log posterior and its gradients wrt (U, V, mean_row):
-    prior.log_density of obs, with overflow warnings silenced.  kernel,
-    when given, is a PreparedDensity of (spec, layout, obs) that a fit or
-    chain builds once and that scores the state instead.
+    a PreparedDensity of (spec, layout, obs) at state, with overflow
+    warnings silenced.  kernel, when given, is that density built once by
+    a fit or chain; otherwise one is built for this call.
 
     Returns (logp, grad_u, grad_v, grad_mean); the gradients are None when
     logp is -inf (out-of-domain Theta with beta > 0) or want_grad is False.
@@ -175,7 +179,7 @@ def posterior_logp_and_grad(state: FactorState, obs: ObservationSet,
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if kernel is None:
-            return log_density(state, obs, layout, spec, want_grad)
+            kernel = PreparedDensity(spec, layout, obs, state.u.shape[0])
         return kernel(state, want_grad)
 
 
@@ -198,12 +202,16 @@ def moment_matched_row(obs: ObservationSet, layout: BlockLayout) -> np.ndarray:
     return row
 
 
+# standard deviation of the random starting factors
+INIT_STD = 0.01
+
+
 def init_state(obs: ObservationSet, layout: BlockLayout,
-               rng: np.random.Generator, init_std=0.01) -> FactorState:
+               rng: np.random.Generator) -> FactorState:
     """Small random factors; the mean row starts at the moment-matched point."""
     n, k, d = obs.n_rows, layout.k_total, layout.d_total
-    u = init_std * rng.standard_normal((n, k))
-    v = init_std * rng.standard_normal((k, d))
+    u = INIT_STD * rng.standard_normal((n, k))
+    v = INIT_STD * rng.standard_normal((k, d))
     v[layout.zero_mask] = 0.0
     mean = moment_matched_row(obs, layout) if layout.use_mean_row else None
     return FactorState(u, v, mean)
@@ -466,20 +474,17 @@ def _fold_masks(observed: np.ndarray, folds: int, rng: np.random.Generator):
     return masks
 
 
-def _cv_score(obs, layout, spec, fold_masks, opts):
-    """Summed held-out log-likelihood over CV folds for one candidate spec;
-    -inf when a fold's fit fails or leaves Theta outside the domain."""
+def _cv_score(layout, spec, splits, opts):
+    """Summed held-out log-likelihood over CV folds for one candidate spec,
+    splits holding each fold's (training set, held-out mask); -inf when a
+    fold's fit fails or leaves Theta outside the domain."""
     total = 0.0
-    for fold in fold_masks:
-        train = obs.with_mask(obs.observed & ~fold)
+    for train, fold in splits:
         try:
             fit = fit_map(train, layout, spec, opts)
-        except FitError:
-            return -np.inf
-        theta = assemble_theta(fit.state, layout)
-        try:
-            total += log_pdf_sums_at(obs, [theta], layout, fold)[0]
-        except DomainError:
+            theta = assemble_theta(fit.state, layout)
+            total += heldout_loglik([theta], train, fold, layout)
+        except (FitError, DomainError):
             return -np.inf
     return total
 
@@ -503,7 +508,8 @@ def cv_select_hyperparams(obs: ObservationSet, layout: BlockLayout, beta,
         raise ConfigError("hyperparameter grids must be non-empty")
     opts = opts or MapOptions(max_iter=500)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    fold_masks = _fold_masks(obs.observed, folds, rng)
+    splits = [(obs.with_mask(obs.observed & ~fold), fold)
+              for fold in _fold_masks(obs.observed, folds, rng)]
 
     best_a, best_a_score = a_grid[0], -np.inf
     if beta > 0:
@@ -514,7 +520,7 @@ def cv_select_hyperparams(obs: ObservationSet, layout: BlockLayout, beta,
                 cand.validate_for(layout)
             except ValueError:
                 continue
-            score = _cv_score(obs, layout, cand, fold_masks, opts)
+            score = _cv_score(layout, cand, splits, opts)
             if score > best_a_score:
                 best_a, best_a_score = (lam, nu), score
 
@@ -522,7 +528,7 @@ def cv_select_hyperparams(obs: ObservationSet, layout: BlockLayout, beta,
     for su, sv in bc_grid:
         cand = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(*best_a),
                          sigma_u=su, sigma_v=sv)
-        score = _cv_score(obs, layout, cand, fold_masks, opts)
+        score = _cv_score(layout, cand, splits, opts)
         if score > best_bc_score:
             best_bc, best_bc_score = (su, sv), score
 

@@ -360,7 +360,7 @@ class EntryTerms:
         per-view g(theta) that score returned for it: a - b g'(theta)."""
         grad = self._alloc(theta)
         for (fam, cols, a, b, c, unscored), g in zip(self.views, gs):
-            _, mu = fam._g_and_gprime(theta[..., cols], g)
+            mu = fam._gprime_at(theta[..., cols], g)
             np.subtract(a, b * _zero_at(mu, unscored), out=grad[..., cols])
         return grad
 
@@ -436,17 +436,12 @@ def log_likelihood_theta(obs: ObservationSet, theta: np.ndarray,
     log-pdf matrix and the result is reduced by a single sum over the
     full matrix, so that weighting with alpha = (1, 1) is bit-identical
     to the unweighted single-view computation.  Raises DomainError when
-    Theta leaves a family's domain.  kernel, when given, is
-    likelihood_terms(obs, layout) built once for many Theta matrices.
+    Theta leaves a family's domain.  kernel, when given, is summed in
+    place of likelihood_terms(obs, layout): that kernel built once for
+    many Theta matrices, or one on another mask (held-out scoring).
     """
     if kernel is None:
         kernel = likelihood_terms(obs, layout)
-    return _terms_sum(kernel, theta)
-
-
-def _terms_sum(kernel, theta):
-    """The sum of kernel's entry terms at theta; DomainError when theta
-    leaves a family's domain."""
     out = kernel.score(theta)
     if out is None:
         raise DomainError("natural parameter outside the family domain")
@@ -457,20 +452,6 @@ def log_likelihood(obs: ObservationSet, state: FactorState,
                    layout: BlockLayout) -> float:
     """Masked, alpha-weighted log-likelihood of the observed entries."""
     return log_likelihood_theta(obs, assemble_theta(state, layout), layout)
-
-
-def log_pdf_sums_at(obs: ObservationSet, thetas, layout: BlockLayout,
-                    mask: np.ndarray) -> list:
-    """For each theta in thetas, the unweighted sum of log p(x | theta)
-    over the entries picked by mask, all from one kernel.
-
-    Used for held-out scoring, so no alpha weighting is applied; every
-    entry not picked scores exactly 0.
-    """
-    if mask.shape != obs.x.shape:
-        raise ShapeError("mask shape does not match the data")
-    kernel = EntryTerms(layout.families, layout.cols_view, obs.x, mask)
-    return [_terms_sum(kernel, theta) for theta in thetas]
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ For families with a restricted domain the value is -inf whenever beta > 0
 and any entry of U V leaves the domain; with beta = 0 the a term (and any
 g evaluation) is skipped entirely.
 
-log_density scores the posterior, likelihood times prior, with its
-gradients; the prior is the same density without data (obs None).  A
-PreparedDensity is log_density built once for a caller that scores many
-states: fits and chains call it in log_density's place.
+A PreparedDensity scores the posterior, likelihood times prior, with
+its gradients; the prior is the same density without data (obs None).
+It is built once for a caller that scores many states: fits and chains
+call it through map_infer.posterior_logp_and_grad, and log_prior_unnorm
+builds one per call.
 """
 
 from __future__ import annotations
@@ -134,9 +135,11 @@ def gaussian_block_terms(state: FactorState, spec: PriorSpec,
 
 
 class PreparedDensity:
-    """log_density of one (spec, layout, obs) for states with n_rows rows,
-    prepared once for a caller that scores many states: the entrywise
-    kernel and the Gaussian blocks' constants.
+    """Log-likelihood of obs plus log a(UV)^beta b(U)^gamma c(V)^gamma,
+    with its gradients wrt (U, V, mean_row), for states with n_rows rows;
+    the log prior when obs is None.  What every evaluation shares is
+    prepared once: the entrywise kernel and the Gaussian blocks'
+    constants.
 
     A value-only evaluation keeps its point (the state, Theta, each
     view's g(Theta) and the value) until the next evaluation starts, so
@@ -155,7 +158,11 @@ class PreparedDensity:
         self._point = None
 
     def __call__(self, state: FactorState, want_grad=True):
-        """(logp, grad_u, grad_v, grad_mean) as log_density returns it."""
+        """(logp, grad_u, grad_v, grad_mean) at state, whose V must be
+        exactly zero on the layout's structural zeros (c(V) squares V as
+        it is).  The gradients are None when not asked for or absent (no
+        mean row), with exact zeros on masked V entries; out of the
+        domain, or where anything overflows, (-inf, None, None, None)."""
         point, self._point = self._point, None
         reuse = (want_grad and point is not None and point.state is state
                  and point.w is None)
@@ -266,22 +273,6 @@ class _Point:
         self.w = self.c = None
 
 
-def log_density(state: FactorState, obs, layout: BlockLayout,
-                spec: PriorSpec, want_grad=True):
-    """Log-likelihood of obs plus log a(UV)^beta b(U)^gamma c(V)^gamma,
-    with its gradients wrt (U, V, mean_row); the log prior when obs is None.
-
-    state's V must be exactly zero on the layout's structural zeros; c(V)
-    squares V as it is.  Returns (logp, grad_u, grad_v, grad_mean), with
-    None for gradients not asked for or absent (no mean row) and exact
-    zeros on masked V entries; (-inf, None, None, None) out of the domain
-    or where anything overflows.  A caller that scores the same data many
-    times builds one PreparedDensity and calls it instead.
-    """
-    density = PreparedDensity(spec, layout, obs, state.u.shape[0])
-    return density(state, want_grad)
-
-
 def log_prior_unnorm(state: FactorState, spec: PriorSpec,
                      layout: BlockLayout) -> float:
     """log of a(UV)^beta b(U)^gamma c(V)^gamma, up to a's normaliser.
@@ -290,4 +281,5 @@ def log_prior_unnorm(state: FactorState, spec: PriorSpec,
     beta = 0 the conjugate term is skipped without evaluating g, so
     domain violations of Theta do not matter there.
     """
-    return log_density(state, None, layout, spec, want_grad=False)[0]
+    density = PreparedDensity(spec, layout, None, state.u.shape[0])
+    return density(state, want_grad=False)[0]

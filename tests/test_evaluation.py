@@ -11,10 +11,10 @@ from scipy import special, stats
 from expfamproj import (Chain, ConfigError, ConjugateHyper, FactorState,
                         MaskError, ObservationSet, PriorSpec, StatError,
                         generate_coupled, heldout_loglik, knn_latent_error,
-                        make_layout, paired_significance, prediction_error,
+                        log_likelihood_theta, make_layout,
+                        paired_significance, prediction_error,
                         time_between_uncorrelated)
 from expfamproj import model
-from expfamproj.model import log_pdf_sums_at
 
 from conftest import make_rng
 
@@ -103,6 +103,15 @@ def test_prediction_error_gaussian_is_mse():
         prediction_error(means, np.zeros(3), fam)
 
 
+def _log_pdf_sums(obs, thetas, lay, held):
+    """Per theta, the checked Family.log_pdf summed over the held entries
+    of a single-view layout: a reference independent of the kernel, which
+    sums in another order."""
+    fam = lay.families[0]
+    return np.array([np.sum(fam.log_pdf(obs.x[held], t[held]))
+                     for t in thetas])
+
+
 def test_heldout_loglik_point_estimates():
     lay = make_layout("epca", 2, 1, "bernoulli")
     x = np.array([[1.0, 0.0]])
@@ -111,9 +120,10 @@ def test_heldout_loglik_point_estimates():
     held = np.array([[True, False]])
     theta = np.zeros((1, 2))
     assert heldout_loglik([theta], obs, held, lay) == pytest.approx(-LOG2)
-    # one sample is scored exactly, with no Monte Carlo rounding
+    # one sample is scored exactly, with no Monte Carlo rounding: the sum
+    # of the kernel that observes the held entries alone
     assert heldout_loglik([theta], obs, held, lay) == \
-        log_pdf_sums_at(obs, [theta], lay, held)[0]
+        log_likelihood_theta(obs.with_mask(held), theta, lay)
 
 
 def test_heldout_loglik_empty_mask_is_zero():
@@ -147,8 +157,9 @@ def test_heldout_loglik_chain_is_logsumexp():
     states = [FactorState(np.zeros((1, 1)), np.zeros((1, 1)))] * 3
     chain = Chain(states, np.array([1.0, 2.0, 3.0]), np.zeros(3),
                   thetas=thetas)
-    lls = np.array([log_pdf_sums_at(obs, [t], lay, held)[0]
-                    for t in thetas])
+    lls = np.array([heldout_loglik([t], obs, held, lay) for t in thetas])
+    assert np.allclose(lls, _log_pdf_sums(obs, thetas, lay, held),
+                       rtol=1e-12, atol=0.0)
     expect = special.logsumexp(lls) - np.log(3.0)
     assert heldout_loglik(chain.theta_samples(lay), obs, held,
                           lay) == pytest.approx(expect, rel=1e-12)
@@ -164,8 +175,9 @@ def test_heldout_loglik_builds_one_kernel(monkeypatch):
     held = rng.random((8, 6)) < 0.3
     obs = ObservationSet(x, ~held, lay.view_widths, lay.families)
     thetas = [0.5 * rng.standard_normal((8, 6)) for _ in range(5)]
-    lls = np.array([log_pdf_sums_at(obs, [t], lay, held)[0]
-                    for t in thetas])
+    lls = np.array([heldout_loglik([t], obs, held, lay) for t in thetas])
+    assert np.allclose(lls, _log_pdf_sums(obs, thetas, lay, held),
+                       rtol=1e-12, atol=0.0)
     built = []
     init = model.EntryTerms.__init__
 

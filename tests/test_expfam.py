@@ -76,15 +76,13 @@ def test_second_derivative_matches_difference_of_mean(name, thetas):
     ("gaussian", (-3.0, 0.0, 4.0)),
     ("exponential", (-20.0, -1.0, -1e-3)),
 ])
-def test_g_and_gprime_is_g_and_gprime_bit_for_bit(name, thetas):
-    """_g_and_gprime passes the given g through and gives _gprime to the
-    last bit, on an array and on a scalar."""
+def test_gprime_at_is_gprime_bit_for_bit(name, thetas):
+    """_gprime_at, given g(theta), gives _gprime to the last bit, on an
+    array and on a scalar."""
     fam = get_family(name)
     for theta in (np.array(thetas), thetas[0]):
-        g_given = fam._g(theta)
-        g, mu = fam._g_and_gprime(theta, g_given)
-        assert g is g_given
-        assert np.array_equal(mu, fam._gprime(theta))
+        assert np.array_equal(fam._gprime_at(theta, fam._g(theta)),
+                              fam._gprime(theta))
 
 
 @pytest.mark.parametrize("name, thetas", [

@@ -474,6 +474,26 @@ def test_identical_seeds_identical_chains():
         assert np.array_equal(a.v, b.v)
 
 
+@pytest.mark.parametrize("fix_v", [None, np.array([[0.5, -0.5, 0.2]])])
+def test_stored_samples_share_no_memory(fix_v):
+    """Every stored U, V and Theta is an array of its own: no two of them
+    share memory, nor any with a pinned V the caller passed in."""
+    lay = make_layout("epca", 3, 1, "poisson")
+    rng = make_rng(15, 36)
+    obs = dense_observations(lay, 0.4 * rng.standard_normal((5, 3)),
+                             seed=136)
+    spec = PriorSpec(beta=0.2, a_hyper=ConjugateHyper(0.5, 1.0))
+    chain = run_gibecca(obs, lay, spec, GibeccaOptions(
+        n_samples=6, burn_in=2, seed=6, fix_v=fix_v))
+    arrays = [a for s in chain.states for a in (s.u, s.v)] + chain.thetas
+    if fix_v is not None:
+        arrays.append(fix_v)
+    assert len(arrays) == 3 * 6 + (fix_v is not None)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_accept_rates_split_at_burn_in(monkeypatch):
     """theta_accept_rate counts the sweeps after burn-in only, and
     theta_accept_rate_burnin the burn-in sweeps, as HMC's rates do."""

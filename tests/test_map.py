@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy import special
 
-from expfamproj import (ConfigError, ConjugateHyper, FactorState, LayoutError,
-                        MapOptions, ObservationSet, PriorSpec, assemble_theta,
-                        cv_select_hyperparams, fit_map, generate_coupled,
-                        log_likelihood_theta, make_layout, predict_target)
+from expfamproj import (ConfigError, ConjugateHyper, DomainError,
+                        FactorState, LayoutError, MapOptions, ObservationSet,
+                        PriorSpec, assemble_theta, cv_select_hyperparams,
+                        fit_map, generate_coupled, log_likelihood_theta,
+                        make_layout, predict_target)
 from expfamproj import map_infer, model, prior
 from expfamproj.experiments import (BetaSweepConfig, EplsVsSepcaConfig,
                                     _seed_int)
@@ -405,7 +406,7 @@ def test_init_state_moment_matched_domain():
                          lay.view_widths, lay.families)
     row = moment_matched_row(obs, lay)
     assert np.all(row < 0.0)
-    state = init_state(obs, lay, make_rng(11, 6), 0.01)
+    state = init_state(obs, lay, make_rng(11, 6))
     state.validate(lay)
 
 
@@ -807,6 +808,80 @@ def test_cv_beta_zero_skips_conjugate_stage():
         folds=3, seed=0, opts=MapOptions(max_iter=100))
     assert spec.beta == 0.0
     assert spec.sigma_u == 1.0
+
+
+def _cv_case():
+    lay = make_layout("epca", 3, 1, "bernoulli")
+    rng = make_rng(12, 9)
+    return dense_observations(lay, rng.standard_normal((10, 3)),
+                              seed=129), lay
+
+
+def test_cv_builds_each_training_set_once(monkeypatch):
+    """Each fold's training set is built once for the whole search, not
+    once per candidate: one with_mask call per fold."""
+    obs, lay = _cv_case()
+    calls = []
+    with_mask = model.ObservationSet.with_mask
+
+    def counted(self, observed):
+        calls.append(observed)
+        return with_mask(self, observed)
+
+    monkeypatch.setattr(model.ObservationSet, "with_mask", counted)
+    cv_select_hyperparams(
+        obs, lay, beta=0.3, a_grid=((0.25, 0.5), (0.5, 1.0)),
+        bc_grid=((0.5, 2.0), (1.0, 1.0)), folds=3, seed=0,
+        opts=MapOptions(max_iter=100))
+    assert len(calls) == 3
+
+
+def test_cv_scores_each_fold_with_heldout_loglik(monkeypatch):
+    """Every fold of every candidate is scored by heldout_loglik with the
+    fit's Theta as its one sample, the fold's training set and its
+    held-out mask."""
+    obs, lay = _cv_case()
+    seen = []
+    heldout_loglik = map_infer.heldout_loglik
+
+    def spy(thetas, train, held, layout):
+        seen.append((len(thetas), train, held))
+        return heldout_loglik(thetas, train, held, layout)
+
+    monkeypatch.setattr(map_infer, "heldout_loglik", spy)
+    cv_select_hyperparams(
+        obs, lay, beta=0.3, a_grid=((0.25, 0.5), (0.5, 1.0)),
+        bc_grid=((0.5, 2.0), (1.0, 1.0)), folds=3, seed=0,
+        opts=MapOptions(max_iter=100))
+    masks = _fold_masks(obs.observed, 3, np.random.default_rng(
+        np.random.SeedSequence([0, 101])))
+    assert len(seen) == 4 * 3
+    for i, (n_thetas, train, held) in enumerate(seen):
+        assert n_thetas == 1
+        assert np.array_equal(held, masks[i % 3])
+        assert np.array_equal(train.observed, obs.observed & ~held)
+
+
+def test_cv_fold_outside_the_domain_scores_minus_inf(monkeypatch):
+    """A fold whose Theta leaves the domain ends its candidate at -inf:
+    the first candidate, scored out of the domain, loses."""
+    obs, lay = _cv_case()
+    calls = []
+    heldout_loglik = map_infer.heldout_loglik
+
+    def first_out_of_domain(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise DomainError("natural parameter outside the family domain")
+        return heldout_loglik(*args)
+
+    monkeypatch.setattr(map_infer, "heldout_loglik", first_out_of_domain)
+    spec = cv_select_hyperparams(
+        obs, lay, beta=0.0, a_grid=((0.25, 0.5),),
+        bc_grid=((1.0, 1.0), (0.5, 2.0)), folds=3, seed=0,
+        opts=MapOptions(max_iter=100))
+    assert (spec.sigma_u, spec.sigma_v) == (0.5, 2.0)
+    assert len(calls) == 1 + 3
 
 
 def test_cv_picks_obviously_better_variance():

@@ -8,11 +8,10 @@ import pytest
 
 from expfamproj import (ConfigError, ConjugateHyper, FactorState,
                         LayoutError, ObservationSet, ShapeError,
-                        assemble_theta, get_family,
+                        assemble_theta, get_family, heldout_loglik,
                         load_observations, log_likelihood,
                         log_likelihood_theta, make_layout)
-from expfamproj.model import (EntryTerms, as_float, as_int,
-                              likelihood_terms, log_pdf_sums_at)
+from expfamproj.model import EntryTerms, as_float, as_int, likelihood_terms
 
 from conftest import dense_observations, make_rng
 
@@ -247,6 +246,19 @@ def test_log_likelihood_theta_kernel_matches_a_fresh_one():
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def test_log_pdf_sum_at_masked_subset():
+    """Held-out scoring sums the held entries alone: an entry neither
+    held nor observed adds exactly 0, wherever Theta puts it."""
+    lay = make_layout("epca", 2, 1, "bernoulli")
+    x = np.array([[1.0, 0.0], [0.0, 1.0]])
+    observed = np.array([[False, True], [True, False]])
+    obs = ObservationSet(x, observed, lay.view_widths, lay.families)
+    held = np.array([[True, False], [False, False]])
+    theta = np.array([[0.0, 5.0], [-3.0, 800.0]])
+    assert heldout_loglik([theta], obs, held, lay) == pytest.approx(
+        -LOG2, rel=1e-12)
+
+
 def test_log_likelihood_state_matches_theta_path():
     lay = make_layout("epls", (1, 3), (1, 1), ("bernoulli", "poisson"))
     rng = make_rng(8, 4)
@@ -258,21 +270,6 @@ def test_log_likelihood_state_matches_theta_path():
     obs = dense_observations(lay, theta, seed=82)
     assert log_likelihood(obs, state, lay) == pytest.approx(
         log_likelihood_theta(obs, theta, lay), rel=1e-12)
-
-
-def test_log_pdf_sum_at_masked_subset():
-    lay = make_layout("epca", 2, 1, "bernoulli")
-    x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    obs = ObservationSet(x, np.ones_like(x, dtype=bool),
-                         lay.view_widths, lay.families)
-    theta = np.zeros((2, 2))
-    mask = np.array([[True, False], [False, False]])
-    assert log_pdf_sums_at(obs, [theta], lay, mask)[0] == pytest.approx(
-        -LOG2, rel=1e-12)
-    empty = np.zeros((2, 2), dtype=bool)
-    assert log_pdf_sums_at(obs, [theta], lay, empty)[0] == 0.0
-    with pytest.raises(ShapeError):
-        log_pdf_sums_at(obs, [theta], lay, np.ones((3, 2), dtype=bool))
 
 
 # ------------------------------------------------------------ entry terms

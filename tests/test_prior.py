@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from expfamproj import (ConjugateHyper, FactorState, ObservationSet,
-                        PriorSpec, assemble_theta, get_family, log_density,
+                        PriorSpec, assemble_theta, get_family,
                         log_prior_unnorm, make_layout)
 from expfamproj import prior
+from expfamproj.map_infer import posterior_logp_and_grad
 from expfamproj.prior import PreparedDensity, gaussian_block_terms
 
 from conftest import central_diff_grad, make_rng
@@ -94,7 +95,8 @@ def test_domain_violation_returns_neg_inf():
     state = FactorState(np.array([[1.0]]), np.array([[1.0]]))  # theta = 1 > 0
     spec = PriorSpec(beta=0.5, a_hyper=ConjugateHyper(1.0, 1.0))
     assert log_prior_unnorm(state, spec, lay) == -np.inf
-    assert log_density(state, None, lay, spec) == (-np.inf, None, None, None)
+    assert posterior_logp_and_grad(state, None, lay, spec) == (
+        -np.inf, None, None, None)
     # beta = 0 never evaluates the cumulant, so the same state is fine
     spec0 = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(1.0, 1.0))
     assert np.isfinite(log_prior_unnorm(state, spec0, lay))
@@ -108,7 +110,7 @@ def test_beta_zero_gradient_closed_form():
     state = _random_state(lay, rng)
     spec = PriorSpec(beta=0.0, a_hyper=ConjugateHyper(0.0, 1.0),
                      sigma_u=0.5, sigma_v=2.0, gamma=0.7)
-    _, gu, gv, gm = log_density(state, None, lay, spec)
+    _, gu, gv, gm = posterior_logp_and_grad(state, None, lay, spec)
     assert np.allclose(gu, -0.7 * state.u / 0.5, atol=1e-12)
     assert np.allclose(gv, -0.7 * state.v / 2.0, atol=1e-12)
     assert gm is None
@@ -119,7 +121,7 @@ def test_gradient_zero_on_structural_zeros():
     rng = make_rng(9, 5)
     state = _random_state(lay, rng, scale=0.3)
     spec = PriorSpec(beta=0.8, a_hyper=ConjugateHyper(0.1, 0.2))
-    _, _, gv, _ = log_density(state, None, lay, spec)
+    _, _, gv, _ = posterior_logp_and_grad(state, None, lay, spec)
     assert np.all(gv[lay.zero_mask] == 0.0)
 
 
@@ -139,7 +141,7 @@ def _fd_check(layout, spec, state, tol=1e-6):
     def fun(x):
         return log_prior_unnorm(unpack(x), spec, layout)
 
-    _, gu, gv, _ = log_density(state, None, layout, spec)
+    _, gu, gv, _ = posterior_logp_and_grad(state, None, layout, spec)
     analytic = np.concatenate([gu.ravel(), gv[free]])
     numeric = central_diff_grad(fun, pack(state), eps=1e-6)
     scale = np.maximum(np.abs(numeric), 1.0)
@@ -187,7 +189,7 @@ def test_gradient_fd_with_zero_blocks_and_mean_row():
         m = x[nu_ + nv_:]
         return log_prior_unnorm(FactorState(u, v, m), spec, lay)
 
-    _, gu, gv, gm = log_density(state, None, lay, spec)
+    _, gu, gv, gm = posterior_logp_and_grad(state, None, lay, spec)
     x0 = np.concatenate([state.u.ravel(), state.v[free], state.mean_row])
     numeric = central_diff_grad(fun, x0)
     analytic = np.concatenate([gu.ravel(), gv[free], gm])
@@ -210,8 +212,8 @@ def test_posterior_without_data_is_the_prior(beta):
     spec = PriorSpec(beta=beta, a_hyper=(ConjugateHyper(0.1, 0.2),
                                          ConjugateHyper(0.5, 1.0)),
                      sigma_u=0.8, sigma_v=1.2)
-    prior = log_density(state, None, lay, spec)
-    posterior = log_density(state, none_seen, lay, spec)
+    prior = posterior_logp_and_grad(state, None, lay, spec)
+    posterior = posterior_logp_and_grad(state, none_seen, lay, spec)
     assert posterior[0] == prior[0] == log_prior_unnorm(state, spec, lay)
     for got, want in zip(posterior[1:], prior[1:]):
         assert np.array_equal(got, want)
@@ -224,8 +226,8 @@ def test_posterior_without_data_is_the_prior(beta):
 ])
 def test_prepared_kernel_gives_the_same_density(families, alpha, beta):
     """A PreparedDensity built once and reused across states scores value
-    and gradients to the last bit as log_density building its own on
-    every call, at alpha != 1."""
+    and gradients to the last bit as posterior_logp_and_grad building
+    its own on every call, at alpha != 1."""
     lay = make_layout("sepca", (3, 4), 2, families, alpha=alpha,
                       use_mean_row=True)
     rng = make_rng(9, 10)
@@ -247,7 +249,7 @@ def test_prepared_kernel_gives_the_same_density(families, alpha, beta):
     density = PreparedDensity(spec, lay, obs, 5)
     for state in states:
         for want_grad in (True, False):
-            plain = log_density(state, obs, lay, spec, want_grad)
+            plain = posterior_logp_and_grad(state, obs, lay, spec, want_grad)
             prepared = density(state, want_grad)
             assert np.isfinite(plain[0])
             assert prepared[0] == plain[0]
@@ -257,11 +259,12 @@ def test_prepared_kernel_gives_the_same_density(families, alpha, beta):
 
 
 def _reference_density(state, obs, lay, spec):
-    """log_density with its gradients computed from scratch: each view's
-    _g, _gprime and _h on its columns, the Gaussian blocks from the spec,
-    in log_density's order of operations.  An entry scores the conjugate
-    kernel a t - b g(t) + c with a = alpha [obs] x + beta lam, b = alpha
-    [obs] + beta nu and c = alpha [obs] h(x); one with b = 0 scores 0."""
+    """The log posterior with its gradients computed from scratch: each
+    view's _g, _gprime and _h on its columns, the Gaussian blocks from the
+    spec, in PreparedDensity's order of operations.  An entry scores the
+    conjugate kernel a t - b g(t) + c with a = alpha [obs] x + beta lam,
+    b = alpha [obs] + beta nu and c = alpha [obs] h(x); one with b = 0
+    scores 0."""
     theta = state.u @ state.v
     if lay.use_mean_row:
         theta = theta + state.mean_row
@@ -315,9 +318,9 @@ def _assert_same_density(got, want):
 def test_prepared_density_matches_the_reference(kind, families, ranks, beta,
                                                 gamma, monkeypatch):
     """A PreparedDensity scores value and gradients to the last bit as
-    the from-scratch reference and as unprepared log_density, and a
-    gradient asked at the point its value call just scored forms no new
-    Theta."""
+    the from-scratch reference and as posterior_logp_and_grad without a
+    kernel, and a gradient asked at the point its value call just scored
+    forms no new Theta."""
     lay = make_layout(kind, (3, 4), ranks, families, use_mean_row=True)
     rng = make_rng(9, 11)
     # the mean row keeps an exponential view's Theta negative
@@ -359,7 +362,7 @@ def test_prepared_density_matches_the_reference(kind, families, ranks, beta,
         assert len(formed) == 2
         for want_grad in (False, True):
             _assert_same_density(
-                log_density(state, obs, lay, spec, want_grad),
+                posterior_logp_and_grad(state, obs, lay, spec, want_grad),
                 want if want_grad else (want[0], None, None, None))
 
 
