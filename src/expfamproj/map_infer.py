@@ -423,7 +423,7 @@ def _backtrack(kernel, theta_of, prec, u, theta, f, gs, rows, step, gain):
     backtracking, with kernel.rows.  A trial row outside the domain, or
     whose value overflows, fails the test like one that gains too
     little; it is scored at its current point so that the kernel sees
-    only rows in the domain.  Updates u, theta, f and each view's g(Theta)
+    only rows in the domain.  Updates u, theta, f and each span's g(Theta)
     in gs in place for the rows that accept a step, and returns the
     positions (into rows) of those that did not.
     """

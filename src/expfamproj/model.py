@@ -15,7 +15,8 @@ into a shared block and per-view specific blocks:
 The structural zeros live in a K x D boolean mask on V; entries under the
 mask are pinned to exactly 0.  EntryTerms scores every entry of Theta,
 for every engine, as one conjugate kernel a theta - b g(theta) + c whose
-coefficients carry the data.
+coefficients carry the data.  Views of one family score as one span of
+columns, so the usual same-family layout passes over Theta once.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ class ObservationSet:
 
 
 class EntryTerms:
-    """The per-entry log terms every engine scores, view by view.
+    """The per-entry log terms every engine scores, span by span.
 
     Entry (n, d) of view i contributes its weighted log-likelihood plus
     the beta-weighted conjugate kernel, itself a conjugate kernel:
@@ -282,74 +283,103 @@ class EntryTerms:
             + beta (lam_i theta - nu_i g(theta))  =  a theta - b g(theta) + c
 
     with a = w_i [obs] x + beta lam_i, b = w_i [obs] + beta nu_i and c =
-    w_i [obs] h(x) computed once per view: scalars without data (x None),
-    b a scalar where the view is fully observed, c None where it is zero
-    throughout (Bernoulli and exponential data), so never added.  An
-    entry with b = 0 (unobserved at beta = 0) adds exactly 0 to every
-    term, even where g overflows.  With neither data nor beta > 0 nothing
-    is scored (no domain check either).  The column slices cols partition
-    the columns of theta.  rows(idx) gives the kernel of rows idx alone,
-    for a caller that scores only some rows of theta.
+    w_i [obs] h(x).  Adjacent views of one family form one span, a
+    single column slice that every method passes over once, so a layout
+    whose views share a family scores Theta in one piece.  Each span's
+    coefficients are computed once, as N x D arrays where there is data,
+    else as a scalar where the span's views agree and a row of
+    per-column values where they differ (sepca's alpha, per-view
+    hyperparameters); b is a scalar or row where the span is fully
+    observed, c None where it is zero throughout (Bernoulli and
+    exponential data), so never added.  An entry with b = 0 (unobserved
+    at beta = 0) adds exactly 0 to every term, even where g overflows.
+    With neither data nor beta > 0 nothing is scored (no domain check
+    either).  The column slices cols partition the columns of theta,
+    view by view.  rows(idx) gives the kernel of rows idx alone, for a
+    caller that scores only some rows of theta.
     """
 
     def __init__(self, families, cols, x=None, mask=None, weights=None,
                  beta=0.0, hypers=None):
-        self.views = []
+        self.spans = []
         if x is None and not beta > 0:
             return
+        runs = []                    # [family, first view, last view]
         for i, (fam, view) in enumerate(zip(families, cols)):
-            w = 1.0 if weights is None else weights[i]
-            lam, nu = (hypers[i].lam, hypers[i].nu) if beta > 0 else (0, 0)
-            a, b, c = beta * lam, beta * nu, None
+            if runs and fam is runs[-1][0] and cols[i - 1].stop == view.start:
+                runs[-1][2] = i
+            else:
+                runs.append([fam, i, i])
+        for fam, first, last in runs:
+            views = range(first, last + 1)
+            span = slice(cols[first].start, cols[last].stop)
+            widths = [cols[i].stop - cols[i].start for i in views]
+            lam_nu = [(hypers[i].lam, hypers[i].nu) if beta > 0 else (0, 0)
+                      for i in views]
+            a = _per_column([beta * lam for lam, _ in lam_nu], widths)
+            b = _per_column([beta * nu for _, nu in lam_nu], widths)
+            c = None
             if x is not None:
-                m = mask[:, view]
-                a = np.where(m, x[:, view], 0.0) * w + beta * lam
+                m = mask[:, span]
+                w = _per_column([1.0 if weights is None else weights[i]
+                                 for i in views], widths)
+                # each array is formed in place, one at a time
+                c = fam._h(x[:, span])
+                c[~m] = 0.0
+                c *= w
+                beta_lam, a = a, np.where(m, x[:, span], 0.0)
+                a *= w
+                a += beta_lam
                 b = w + b if m.all() else np.where(m, w + b, b)
-                c = np.where(m, fam._h(x[:, view]), 0.0) * w
-            self.views.append((fam, view, a, b, _nonzero_or_none(c),
+            self.spans.append((fam, span, a, b, _nonzero_or_none(c),
                                _nonzero_or_none(b == 0)))
 
     def rows(self, idx):
-        """The same kernel on rows idx of the data: each view's N-row
-        coefficients and unscored mask sliced to those rows, scalars
-        and None kept.  Its terms at theta[idx] equal rows idx of this
-        kernel's terms at theta."""
+        """The same kernel on rows idx of the data: each span's N-row
+        coefficients and unscored mask sliced to those rows, scalars,
+        per-column rows and None kept.  Its terms at theta[idx] equal
+        rows idx of this kernel's terms at theta."""
         sub = copy.copy(self)
-        sub.views = [(fam, cols, *(arr[idx] if np.ndim(arr) == 2 else arr
+        sub.spans = [(fam, cols, *(arr[idx] if np.ndim(arr) == 2 else arr
                                    for arr in coefs))
-                     for fam, cols, *coefs in self.views]
+                     for fam, cols, *coefs in self.spans]
         return sub
 
     def _alloc(self, theta):
-        """An array shaped like theta for per-entry output: the views
+        """An array shaped like theta for per-entry output: the spans
         cover every column, so only an empty kernel needs zeros."""
-        return (np.empty_like if self.views else np.zeros_like)(theta)
+        return (np.empty_like if self.spans else np.zeros_like)(theta)
 
     def in_domain(self, theta):
         """Per slice of theta (..., N, D): True where every scored entry
         lies in its view family's domain."""
         ok = np.ones(np.shape(theta)[:-2], dtype=bool)
-        for fam, cols, *_ in self.views:
+        for fam, cols, *_ in self.spans:
             ok &= np.all(fam.in_domain(theta[..., cols]), axis=(-2, -1))
         return ok
 
     def score(self, theta):
         """(values, gs): the entry values shaped like theta (..., N, D)
-        and, per view, g of its columns of theta, for slopes to reuse.
+        and, per span, g of its columns of theta, for slopes to reuse.
         None when any entry leaves the domain of its view's family."""
         return self._score(theta, check=True)
 
     def _score(self, theta, check):
         vals = self._alloc(theta)
         gs = []
-        for fam, cols, a, b, c, unscored in self.views:
+        for fam, cols, a, b, c, unscored in self.spans:
             t = theta[..., cols]
             if check and not np.all(fam.in_domain(t)):
                 return None
-            g = _zero_at(fam._g(t), unscored)
+            g = fam._g(t)
             val = vals[..., cols]
-            np.multiply(a, _zero_at(t, unscored), out=val)
-            val -= b * g
+            np.multiply(a, t, out=val)
+            if unscored is not None:
+                # g is fresh and val this kernel's own, so both are
+                # zeroed in place (a = 0 there: a theta was +-0)
+                np.copyto(g, 0.0, where=unscored)
+                np.copyto(val, 0.0, where=unscored)
+            _subtract_product(val, b, g)
             if c is not None:
                 val += c
             gs.append(g)
@@ -357,25 +387,27 @@ class EntryTerms:
 
     def slopes(self, theta, gs):
         """d values / d theta, shaped like theta, from theta and the
-        per-view g(theta) that score returned for it: a - b g'(theta)."""
+        per-span g(theta) that score returned for it: a - b g'(theta)."""
         grad = self._alloc(theta)
-        for (fam, cols, a, b, c, unscored), g in zip(self.views, gs):
+        for (fam, cols, a, b, c, unscored), g in zip(self.spans, gs):
             mu = fam._gprime_at(theta[..., cols], g)
-            np.subtract(a, b * _zero_at(mu, unscored), out=grad[..., cols])
+            out = grad[..., cols]
+            np.multiply(b, _zero_at(mu, unscored), out=out)
+            np.subtract(a, out, out=out)
         return grad
 
     def curvature(self, theta, gs, out=None):
         """Minus the second derivative of the entry terms wrt theta,
-        shaped like theta, from theta and the per-view g(theta) that
+        shaped like theta, from theta and the per-span g(theta) that
         score returned for it: b g''(theta).  Every entry of theta must
         lie in the domain.  out, when given, receives the result and may
-        be theta itself: each view reads its own columns of theta before
+        be theta itself: each span reads its own columns of theta before
         it writes them."""
         if out is None:
             out = self._alloc(theta)
-        elif not self.views:
+        elif not self.spans:
             out[...] = 0.0
-        for (fam, cols, a, b, c, unscored), g in zip(self.views, gs):
+        for (fam, cols, a, b, c, unscored), g in zip(self.spans, gs):
             g2 = fam._gsecond_at(theta[..., cols], g)
             np.multiply(b, _zero_at(g2, unscored), out=out[..., cols])
         return out
@@ -397,17 +429,42 @@ class EntryTerms:
 
     def log_ratio(self, old, star):
         """Per-entry log ratio of the terms at star over those at old,
-        a (star - old) - b (g(star) - g(old)); -inf where star leaves the
-        domain."""
+        a (star - old) - b (g(star) - g(old)), shaped like old (..., N,
+        D); -inf where star leaves the domain."""
         out = self._alloc(old)
-        for fam, cols, a, b, c, unscored in self.views:
-            o, s = old[:, cols], star[:, cols]
+        for fam, cols, a, b, c, unscored in self.spans:
+            o, s = old[..., cols], star[..., cols]
             dom = fam.in_domain(s)
             s = np.where(dom, s, o)
             dg = _zero_at(fam._g(s), unscored) - _zero_at(fam._g(o), unscored)
             r = a * (s - o) - b * dg
-            out[:, cols] = np.where(dom, r, -np.inf)
+            out[..., cols] = np.where(dom, r, -np.inf)
         return out
+
+
+def _per_column(values, widths):
+    """One value per view of a span as a scalar when the views agree,
+    else as a row that repeats each view's value across its columns."""
+    if all(v == values[0] for v in values):
+        return values[0]
+    return np.repeat(np.array(values, dtype=float), widths)
+
+
+# a block of rows formed at once fills about 256 KiB, which stays in a
+# core's L2 cache while it is used
+_BLOCK_BYTES = 1 << 18
+
+
+def _subtract_product(out, b, g):
+    """out -= b g a block of rows at a time, so that the product's
+    temporary stays small; b is a scalar, a row or N x D like out's
+    last two axes."""
+    n = out.shape[-2]
+    step = max(1, n * _BLOCK_BYTES // max(out.nbytes, 1))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        b_rows = b[rows] if np.ndim(b) == 2 else b
+        out[..., rows, :] -= b_rows * g[..., rows, :]
 
 
 def _nonzero_or_none(arr):

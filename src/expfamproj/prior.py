@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expfam import LOG_2PI, ConjugateHyper
-from .model import BlockLayout, EntryTerms, FactorState, assemble_theta
+from .model import (_BLOCK_BYTES, BlockLayout, EntryTerms, FactorState,
+                    assemble_theta)
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class PreparedDensity:
     constants.
 
     A value-only evaluation keeps its point (the state, Theta, each
-    view's g(Theta) and the value) until the next evaluation starts, so
+    span's g(Theta) and the value) until the next evaluation starts, so
     that a gradient asked next for the same state object reuses them and
     does only the gradient work.  That gradient keeps the point in turn,
     with the slopes W added, so that hessian_product at the same state
@@ -256,14 +257,9 @@ class PreparedDensity:
         return h_u, h_v, h_mean
 
 
-# the rows of C o dTheta that hessian_product forms at once fill about
-# 256 KiB, which stays in a core's L2 cache while it is used
-_BLOCK_BYTES = 1 << 18
-
-
 class _Point:
     """What a PreparedDensity holds of its last evaluation: the state,
-    Theta, each view's g(Theta) and the value; the slopes W after a
+    Theta, each span's g(Theta) and the value; the slopes W after a
     gradient call, and the curvature C once a product formed it."""
 
     __slots__ = ("state", "theta", "gs", "logp", "w", "c")

@@ -642,7 +642,7 @@ def test_fold_in_scores_only_the_rows_still_iterating(monkeypatch):
     still trying a step: no accepted point is scored again, and no row
     is seen after the iteration at which it converged.  Rows are told
     apart by their view-2 counts, which are the kernel's coefficients
-    a on view 2."""
+    a on view 2's columns, wherever the kernel's spans put them."""
     lay, state, obs, spec = _poisson_rates_fold_in(13)
     n, cols2 = obs.n_rows, lay.cols_view[1]
     row_of = {row.tobytes(): i for i, row in enumerate(obs.x[:, cols2])}
@@ -653,7 +653,8 @@ def test_fold_in_scores_only_the_rows_still_iterating(monkeypatch):
         method = getattr(model.EntryTerms, name)
 
         def spy(self, *args, **kwargs):
-            a2 = self.views[1][2]
+            a = np.hstack([coefs[0] for _, _, *coefs in self.spans])
+            a2 = a[:, cols2]
             events.append((name, frozenset(row_of[r.tobytes()] for r in a2)))
             return method(self, *args, **kwargs)
         monkeypatch.setattr(model.EntryTerms, name, spy)

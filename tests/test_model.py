@@ -1,5 +1,6 @@
 """Layout construction, Theta assembly, masked likelihoods, data loading."""
 
+import copy
 import json
 import warnings
 
@@ -365,10 +366,10 @@ def test_entry_terms_skip_zero_base_measure_bit_for_bit(families):
     for beta in (0.0, 0.3):
         terms = EntryTerms(fams, cols, x, mask, (1.0, 0.7), beta, hypers)
         kept = EntryTerms(fams, cols, x, mask, (1.0, 0.7), beta, hypers)
-        kept.views = [(fam, c, a, b, np.zeros(x[:, c].shape)
+        kept.spans = [(fam, c, a, b, np.zeros(x[:, c].shape)
                        if base is None else base, unscored)
-                      for fam, c, a, b, base, unscored in kept.views]
-        assert [view[4] is None for view in terms.views] == [
+                      for fam, c, a, b, base, unscored in kept.spans]
+        assert [span[4] is None for span in terms.spans] == [
             fam.name in ("bernoulli", "exponential") for fam in fams]
         star = theta + 0.1 * make_rng(4, 7).standard_normal(theta.shape)
         star[:, 3:] = fams[1].to_domain(star[:, 3:])
@@ -413,6 +414,133 @@ def test_entry_terms_value_scores_each_slice_of_a_stack():
     assert np.all(sums == np.array(singles))
     assert sums[1, 2] == -np.inf
     assert np.sum(np.isfinite(sums)) == 5
+
+
+@pytest.mark.parametrize("with_data", [True, False])
+def test_entry_terms_log_ratio_of_a_stack_is_per_slice(with_data):
+    """A stack (..., N, D) of (old, star) pairs gives, slice by slice,
+    the log ratios of each pair alone, with and without data."""
+    fams, cols, x, mask, theta = _entry_case(("gaussian", "exponential"), 6)
+    hypers = (ConjugateHyper(0.5, 1.0), ConjugateHyper(0.2, 1.5))
+    terms = (EntryTerms(fams, cols, x, mask, (1.0, 1.0), 0.3, hypers)
+             if with_data else EntryTerms(fams, cols, beta=0.3,
+                                          hypers=hypers))
+    rng = make_rng(6, 7)
+    old = theta + 0.05 * rng.standard_normal((2,) + theta.shape)
+    old[..., 3:] = np.minimum(old[..., 3:], -1e-3)
+    star = old + 0.1 * rng.standard_normal(old.shape)
+    star[1, 2, 5] = 0.5               # out of the exponential view's domain
+    r = terms.log_ratio(old, star)
+    assert r.shape == old.shape
+    for got, o, s in zip(r, old, star):
+        assert got.tobytes() == terms.log_ratio(o, s).tobytes()
+    assert r[1, 2, 5] == -np.inf and np.sum(np.isinf(r)) == 1
+
+
+def _per_view_spans(families, cols, x=None, mask=None, weights=None,
+                    beta=0.0, hypers=None):
+    """The kernel's coefficients computed view by view, one span per
+    view: the reference that a span of same-family views matches."""
+    spans = []
+    for i, (fam, view) in enumerate(zip(families, cols)):
+        w = 1.0 if weights is None else weights[i]
+        lam, nu = (hypers[i].lam, hypers[i].nu) if beta > 0 else (0, 0)
+        a, b, c = beta * lam, beta * nu, None
+        if x is not None:
+            m = mask[:, view]
+            a = np.where(m, x[:, view], 0.0) * w + beta * lam
+            b = w + b if m.all() else np.where(m, w + b, b)
+            c = np.where(m, fam._h(x[:, view]), 0.0) * w
+        spans.append((fam, view, a, b, c if np.any(c) else None,
+                      (b == 0) if np.any(b == 0) else None))
+    return spans
+
+
+SAME_FAMILY_CASES = {
+    "poisson-partial-alpha": ("poisson", True, (1.0, 0.3), 0.0),
+    "poisson-partial-alpha-beta": ("poisson", True, (1.0, 0.3), 0.3),
+    "bernoulli": ("bernoulli", False, (1.0, 1.0), 0.3),
+    "exponential-beta": ("exponential", True, (1.0, 1.0), 0.4),
+    "prior-only": ("poisson", None, None, 0.5),
+    "poisson-zero-h-beside-h": ("poisson", True, (1.0, 1.0), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAME_FAMILY_CASES))
+def test_entry_terms_span_matches_per_view_reference_bit_for_bit(case):
+    """Two views of one family score as one span, and every quantity
+    equals, byte for byte, that of the same kernel scored view by view
+    over per-view coefficients (_per_view_spans): entry values, g,
+    slopes, curvature, sums, log ratios and domain checks, of one Theta
+    and of a stack, and of a row subset.  Where one view's h(x) is zero
+    throughout and the other's is not, the span adds that view's zeros,
+    so at most the sign of an exact zero may differ."""
+    name, partial, weights, beta = SAME_FAMILY_CASES[case]
+    fams, cols, x, mask, theta = _entry_case((name, name), 7)
+    hypers = (ConjugateHyper(0.5, 1.0), ConjugateHyper(0.2, 1.5))
+    if partial is None:
+        x = mask = None
+    elif not partial:
+        mask = np.ones_like(mask)
+    if case == "poisson-zero-h-beside-h":
+        x[:, :3] = np.minimum(x[:, :3], 1.0)     # h(x) = -log 1! = -0
+        x[0, 4], mask[0, 4] = 5.0, True
+    args = (fams, cols, x, mask, weights, beta, hypers)
+    terms = EntryTerms(*args)
+    ref = copy.copy(terms)
+    ref.spans = _per_view_spans(*args)
+    assert len(terms.spans) == 1 and len(ref.spans) == 2
+    if case == "poisson-zero-h-beside-h":
+        assert [span[4] is None for span in ref.spans] == [True, False]
+
+    def same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        if case == "poisson-zero-h-beside-h":
+            got, want = got + 0.0, want + 0.0        # -0 becomes +0
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    rng = make_rng(7, 7)
+    stack = theta + 0.05 * rng.standard_normal((2, 3) + theta.shape)
+    star = theta + 0.1 * rng.standard_normal(theta.shape)
+    stack, star = fams[0].to_domain(stack), fams[0].to_domain(star)
+    if name == "exponential":
+        stack[1, 2, 4, 6] = star[0, 5] = 0.5      # out of the domain
+    for kernel_args in ((theta,), (stack,)):
+        same(terms.in_domain(*kernel_args), ref.in_domain(*kernel_args))
+        same(terms.value(*kernel_args), ref.value(*kernel_args))
+    vals, gs = terms.score(theta)
+    ref_vals, ref_gs = ref.score(theta)
+    same(vals, ref_vals)
+    same(np.concatenate(gs, axis=-1), np.concatenate(ref_gs, axis=-1))
+    same(terms.slopes(theta, gs), ref.slopes(theta, ref_gs))
+    same(terms.curvature(theta, gs), ref.curvature(theta, ref_gs))
+    same(terms.log_ratio(theta, star), ref.log_ratio(theta, star))
+    same(terms.log_ratio(stack[0], stack[1]),
+         ref.log_ratio(stack[0], stack[1]))
+    idx = np.array([4, 0, 2])
+    sub, ref_sub = terms.rows(idx), ref.rows(idx)
+    sub_vals, sub_gs = sub.score(theta[idx])
+    ref_sub_vals, ref_sub_gs = ref_sub.score(theta[idx])
+    same(sub_vals, ref_sub_vals)
+    same(sub.slopes(theta[idx], sub_gs), ref_sub.slopes(theta[idx],
+                                                        ref_sub_gs))
+    same(sub.curvature(theta[idx], sub_gs),
+         ref_sub.curvature(theta[idx], ref_sub_gs))
+    if name == "exponential":
+        assert terms.score(star) is None and ref.score(star) is None
+
+
+def test_entry_terms_one_span_per_family_run():
+    """Views of one family score as one span over all the columns; views
+    of two families keep one span each."""
+    for families, n_spans in ((("poisson", "poisson"), 1),
+                              (("poisson", "bernoulli"), 2)):
+        lay = make_layout("ecca", (3, 4), (1, 1, 1), families)
+        obs = dense_observations(lay, np.zeros((5, 7)), seed=3)
+        spans = likelihood_terms(obs, lay).spans
+        assert [span[1] for span in spans] == (
+            [slice(0, 7)] if n_spans == 1 else list(lay.cols_view))
 
 
 def test_entry_terms_without_data_or_beta_score_nothing():
