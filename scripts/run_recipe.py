@@ -13,10 +13,12 @@ sampler-bench, the chains.  The recipes:
     sampler-bench   wall-clock time to an uncorrelated draw, both samplers
 
 Full scale takes minutes; shrink a run with --override KEY=VALUE, where
-VALUE is JSON:
+VALUE is JSON.  The seed is an override too (default 0), so config.json
+holds the whole run:
 
     python3 scripts/run_recipe.py epls-vs-sepca --out results/epls \\
-        --override n_replicates=5 --override sepca_components=[1,2,3]
+        --override seed=3 --override n_replicates=5 \\
+        --override sepca_components=[1,2,3]
 """
 
 import argparse
@@ -48,7 +50,6 @@ def run(argv=None):
     ap.add_argument("recipe", choices=sorted(RECIPES))
     ap.add_argument("--out", default=None,
                     help="output directory (default results/RECIPE)")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--spect", default=None,
                     help="path to the binary feature table; synthetic "
@@ -65,7 +66,7 @@ def run(argv=None):
     with open(cfg_path, "w") as fh:
         json.dump(config, fh, indent=1)
     argv_out = ["experiment", "--config", cfg_path, "--out", out,
-                "--seed", str(args.seed), "--jobs", str(args.jobs)]
+                "--jobs", str(args.jobs)]
     if args.spect:
         argv_out += ["--spect", args.spect]
     return cli_main(argv_out)

@@ -57,7 +57,7 @@ def _model_config(engine, options, **extra):
                                             seed=SEED)},
                  "layout": SYNTHETIC,
                  "prior": {"beta": 0.2, "a_hyper": [0.5, 1.0]},
-                 "engine": engine, "options": options, "seed": SEED},
+                 "engine": engine, "options": dict(options, seed=SEED)},
                 **extra)
 
 

@@ -204,7 +204,7 @@ _OPTION_CLASSES = {"map": MapOptions, "hmc": HmcOptions,
                    "gibecca": GibeccaOptions}
 
 
-def build_options(engine, d, path="options", seed=None):
+def build_options(engine, d, path="options"):
     # a list or dict cannot be looked up, so the type is checked first
     if not isinstance(engine, str) or engine not in _OPTION_CLASSES:
         raise ConfigError(f"engine: must be one of "
@@ -212,22 +212,17 @@ def build_options(engine, d, path="options", seed=None):
     cls = _OPTION_CLASSES[engine]
     kwargs = _read_fields({} if d is None else d, _field_kinds(cls), path,
                           f"engine {engine}")
-    if seed is not None:
-        kwargs["seed"] = _wrap("seed", as_int, seed)
     return _wrap(path, cls, **kwargs)
 
 
-def make_recipe_config(name, overrides=None, seed=None):
+def make_recipe_config(name, overrides=None):
     """Instantiate a recipe config, checking override names and types."""
     if not isinstance(name, str) or name not in RECIPES:
         raise ConfigError(f"recipe: must be one of {sorted(RECIPES)}, "
                           f"got {name!r}")
     cls = RECIPES[name][0]
-    kwargs = _read_fields(overrides or {}, _field_kinds(cls), "overrides",
-                          name)
-    if seed is not None:
-        kwargs["seed"] = as_int(seed)
-    return cls(**kwargs)
+    return cls(**_read_fields(overrides or {}, _field_kinds(cls), "overrides",
+                              name))
 
 
 _SYNTHETIC_KINDS = dict(_SHAPE_KINDS, n_rows="int", latent_scale="float",
@@ -288,22 +283,21 @@ def _write_summary(out_dir, summary, notice=None):
         json.dump(summary, fh, indent=1, sort_keys=True)
 
 
-def _model_config(cfg, args, extra=(), default_engine=_MISSING):
+def _model_config(cfg, extra=(), default_engine=_MISSING):
     """(cfg, layout, spec, engine, opts) from the head that fit and impute
     configs share; extra names the command's other fields."""
     cfg = _read_fields(cfg, dict.fromkeys(
-        ("data", "layout", "prior", "engine", "options", "seed", *extra),
+        ("data", "layout", "prior", "engine", "options", *extra),
         "object"), "config")
     layout = build_layout(_get(cfg, "layout", "config"))
     spec = build_prior(_get(cfg, "prior", "config"))
     engine = _get(cfg, "engine", "config", default_engine)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    opts = build_options(engine, cfg.get("options"), seed=seed)
+    opts = build_options(engine, cfg.get("options"))
     return cfg, layout, spec, engine, opts
 
 
 def cmd_fit(cfg, args):
-    cfg, layout, spec, engine, opts = _model_config(cfg, args)
+    cfg, layout, spec, engine, opts = _model_config(cfg)
     obs, notice = load_data(_get(cfg, "data", "config"), args.spect)
 
     os.makedirs(args.out, exist_ok=True)
@@ -333,8 +327,7 @@ def cmd_experiment(cfg, args):
     cfg = _read_fields(cfg, {"recipe": "object", "overrides": "object"},
                        "config")
     name = _get(cfg, "recipe", "config")
-    recipe_cfg = make_recipe_config(name, cfg.get("overrides"),
-                                    seed=args.seed)
+    recipe_cfg = make_recipe_config(name, cfg.get("overrides"))
     os.makedirs(args.out, exist_ok=True)
     notice = None
     if name == "beta-sweep":
@@ -355,8 +348,7 @@ def cmd_experiment(cfg, args):
 
 
 def cmd_impute(cfg, args):
-    cfg, layout, spec, engine, opts = _model_config(cfg, args, ("holdout",),
-                                                    "map")
+    cfg, layout, spec, engine, opts = _model_config(cfg, ("holdout",), "map")
     hold = _read_fields(_get(cfg, "holdout", "config"),
                         {"fraction": "float", "seed": "int"}, "holdout")
     obs, notice = load_data(_get(cfg, "data", "config"), args.spect)
@@ -376,11 +368,11 @@ def cmd_impute(cfg, args):
     pred_path = os.path.join(args.out, "predictions.csv")
     with open(pred_path, "w") as fh:
         fh.write("row,col,true,predicted_mean\n")
-        rows, cols = np.nonzero(held)
-        fh.writelines(
-            f"{r},{c},{t:.17g},{m:.17g}\n" for r, c, t, m in zip(
-                rows.tolist(), cols.tolist(), obs.x[held].tolist(),
-                means[held].tolist()))
+        # in blocks: lists of every entry's numbers would set the peak RSS
+        entries = (*np.nonzero(held), obs.x[held], means[held])
+        for at in range(0, entries[0].size, 4096):
+            fh.writelines(f"{r},{c},{t:.17g},{m:.17g}\n" for r, c, t, m in zip(
+                *(a[at:at + 4096].tolist() for a in entries)))
     summary = {"engine": engine, "heldout_loglik": ll,
                "n_holdout": int(held.sum())}
     _write_summary(args.out, summary, notice)
@@ -399,8 +391,8 @@ def _parser():
                      ("impute", cmd_impute)):
         q = sub.add_parser(name)
         q.add_argument("--config", required=True)
+        # parallel replicates; fit and impute accept and ignore it
         q.add_argument("--jobs", type=int, default=1)
-        q.add_argument("--seed", type=int, default=None)
         q.add_argument("--out", default=None)
         q.add_argument("--spect", default=None)
         q.set_defaults(fn=fn)

@@ -410,12 +410,13 @@ def test_09_exponential_domain_never_violated():
 
 def _run_recipe_twice(tmp_path, name, overrides):
     cfg_path = tmp_path / f"{name}.json"
-    cfg_path.write_text(json.dumps({"recipe": name, "overrides": overrides}))
+    cfg_path.write_text(json.dumps({"recipe": name,
+                                    "overrides": dict(overrides, seed=12)}))
     outs = []
     for tag in ("one", "two"):
         out = tmp_path / f"{name}-{tag}"
         assert main(["experiment", "--config", str(cfg_path),
-                     "--out", str(out), "--seed", "12"]) == 0
+                     "--out", str(out)]) == 0
         outs.append(out)
     return outs
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import importlib
+import importlib.util
 import json
 import math
 import pathlib
@@ -48,8 +49,7 @@ def _map_fit_config(tmp_path, csv_path, desc_path):
                    "families": "bernoulli"},
         "prior": {"beta": 0.2, "a_hyper": [0.5, 1.0]},
         "engine": "map",
-        "options": {"max_iter": 200, "restarts": 2},
-        "seed": 3,
+        "options": {"max_iter": 200, "restarts": 2, "seed": 3},
     }
 
 
@@ -60,7 +60,7 @@ def test_fit_map_writes_state_and_summary(tmp_path, capsys):
     cfg = _write_json(tmp_path / "cfg.json",
                       _map_fit_config(tmp_path, csv_path, desc_path))
     out = tmp_path / "out"
-    code = main(["fit", "--config", cfg, "--out", str(out), "--seed", "7"])
+    code = main(["fit", "--config", cfg, "--out", str(out)])
     assert code == 0
     assert "fit: engine=map" in capsys.readouterr().out
 
@@ -69,7 +69,7 @@ def test_fit_map_writes_state_and_summary(tmp_path, capsys):
     assert state.v.shape == (2, 5)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["engine"] == "map"
-    assert summary["seed"] == 7            # flag wins over config seed
+    assert summary["seed"] == 3
     assert summary["converged"] in (True, False)
     assert np.isfinite(summary["objective"])
     assert len(summary["restart_objectives"]) == 2
@@ -89,8 +89,7 @@ def test_fit_map_saves_a_one_sample_chain(tmp_path):
     obs, _ = load_data(payload["data"])
     layout = build_layout(payload["layout"])
     fit = fit_map(obs, layout, build_prior(payload["prior"]),
-                  build_options("map", payload["options"],
-                                seed=payload["seed"]))
+                  build_options("map", payload["options"]))
     chain = load_chain(out / "chain")
     state, = chain.states
     assert np.array_equal(state.u, fit.state.u)
@@ -116,8 +115,7 @@ def test_fit_gibecca_on_shared_factor_layout(tmp_path):
                    "families": "bernoulli"},
         "prior": {"beta": 0.2, "a_hyper": [0.5, 1.0]},
         "engine": "gibecca",
-        "options": {"n_samples": 30, "burn_in": 20},
-        "seed": 4,
+        "options": {"n_samples": 30, "burn_in": 20, "seed": 4},
     })
     out = tmp_path / "out"
     assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
@@ -175,9 +173,8 @@ def _gibecca_impute_config(tmp_path, options):
                    "families": "bernoulli"},
         "prior": {"beta": 0.3, "a_hyper": [0.5, 1.0]},
         "engine": "gibecca",
-        "options": options,
+        "options": dict(options, seed=1),
         "holdout": {"fraction": 0.15, "seed": 2},
-        "seed": 1,
     })
 
 
@@ -220,9 +217,8 @@ def test_impute_gaussian_loglik_matches_predictions(tmp_path):
                    "families": "gaussian"},
         "prior": {"beta": 0.0, "a_hyper": [0.0, 1.0]},
         "engine": "map",
-        "options": {"max_iter": 400},
+        "options": {"max_iter": 400, "seed": 2},
         "holdout": {"fraction": 0.2, "seed": 5},
-        "seed": 2,
     })
     out = tmp_path / "out"
     assert main(["impute", "--config", cfg, "--out", str(out)]) == 0
@@ -274,11 +270,10 @@ def test_experiment_cli_writes_rows_and_summary(tmp_path, capsys):
         "overrides": {"n_replicates": 2, "n_train": 14, "n_test": 20,
                       "d_features": 5, "k_specific": 1,
                       "sepca_components": [1], "alphas": [1.0],
-                      "max_iter": 60, "restarts": 1},
+                      "max_iter": 60, "restarts": 1, "seed": 11},
     })
     out = tmp_path / "out"
-    code = main(["experiment", "--config", cfg, "--out", str(out),
-                 "--seed", "11"])
+    code = main(["experiment", "--config", cfg, "--out", str(out)])
     assert code == 0
     assert "(0 flagged)" in capsys.readouterr().out
 
@@ -289,6 +284,27 @@ def test_experiment_cli_writes_rows_and_summary(tmp_path, capsys):
     assert summary["config"]["seed"] == 11
     assert summary["config"]["n_replicates"] == 2
     assert len(summary["paired_tests"]) == 1
+
+
+def test_run_recipe_seed_override_reaches_the_run(tmp_path):
+    """scripts/run_recipe.py used to pass its own --seed 0 to the CLI,
+    which beat the override: config.json said seed 3, the run used 0."""
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "run_recipe.py"
+    spec = importlib.util.spec_from_file_location("run_recipe", path)
+    run_recipe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_recipe)
+    out = tmp_path / "out"
+    assert run_recipe.run([
+        "epls-vs-sepca", "--out", str(out), "--override", "seed=3",
+        "--override", "n_replicates=1", "--override", "n_train=14",
+        "--override", "n_test=20", "--override", "d_features=5",
+        "--override", "k_specific=1", "--override", "sepca_components=[1]",
+        "--override", "alphas=[1.0]", "--override", "max_iter=60",
+        "--override", "restarts=1"]) == 0
+    config = json.loads((out / "config.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
+    assert config["overrides"]["seed"] == 3
+    assert summary["config"]["seed"] == config["overrides"]["seed"]
 
 
 def test_beta_sweep_summary_carries_data_notice(tmp_path, capsys):
@@ -410,8 +426,8 @@ def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
 
 
 @pytest.mark.parametrize("command, section, value, field", [
-    ("fit", "config", {"seed": "abc"}, "seed"),
-    ("impute", "config", {"seed": [3]}, "seed"),
+    ("fit", "options", {"seed": "abc"}, "options.seed"),
+    ("impute", "options", {"seed": [3]}, "options.seed"),
     ("fit", "synthetic", {"seed": "x"}, "data.synthetic.seed"),
     ("fit", "synthetic", {"latent_scale": "big"},
      "data.synthetic.latent_scale"),
@@ -419,8 +435,8 @@ def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
      "data.synthetic.target_scale"),
     ("impute", "holdout", {"fraction": "abc"}, "holdout.fraction"),
     ("impute", "holdout", {"seed": "x"}, "holdout.seed"),
-    ("fit", "config", {"seed": 2.9}, "seed"),
-    ("impute", "config", {"seed": True}, "seed"),
+    ("fit", "options", {"seed": 2.9}, "options.seed"),
+    ("impute", "options", {"seed": True}, "options.seed"),
     ("fit", "synthetic", {"seed": 1.5}, "data.synthetic.seed"),
     ("fit", "synthetic", {"n_rows": 10.6}, "data.synthetic.n_rows"),
     ("fit", "synthetic", {"n_rows": "abc"}, "data.synthetic.n_rows"),
@@ -432,13 +448,17 @@ def test_bad_flag_or_count_names_its_field(tmp_path, capsys, section,
      "data.synthetic.target_scale"),
     ("impute", "holdout", {"fraction": True}, "holdout.fraction"),
     ("fit", "config", {"engine": ["map"]}, "engine"),
+    ("fit", "config", {"seed": 1}, "config.seed"),
+    ("impute", "config", {"seed": 1}, "config.seed"),
 ])
 def test_mistyped_scalar_names_its_field(tmp_path, capsys, command, section,
                                          value, field):
     """These scalars used to be cast outside the field checks, so a
     mistyped one exited 3 as a numeric failure that named no field; a
     fractional integer was truncated, a fractional n_rows raised, and a
-    list for engine raised TypeError (unhashable) and exited 1."""
+    list for engine raised TypeError (unhashable) and exited 1.  A
+    top-level seed, once a second source that beat options.seed, is an
+    unknown field."""
     cfg = _valid_fit_config(tmp_path)
     if command == "impute":
         cfg["holdout"] = {"fraction": 0.2, "seed": 1}
@@ -449,7 +469,7 @@ def test_mistyped_scalar_names_its_field(tmp_path, capsys, command, section,
             model="epca", view_widths=5, ranks=2, families="bernoulli",
             n_rows=10), **value)}
     else:
-        cfg["holdout"].update(value)
+        cfg[section].update(value)
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", path,
                  "--out", str(tmp_path / "o")]) == 2
@@ -586,6 +606,16 @@ def test_broken_chain_exits_3(tmp_path, capsys):
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == 3
     assert "numeric failure: ChainError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "experiment", "impute"])
+def test_seed_flag_is_gone(tmp_path, capsys, command):
+    """A seed comes from the config alone, never from a flag."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(tmp_path / "cfg.json"),
+              "--seed", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_console_script_resolves_to_main():

@@ -39,8 +39,8 @@ def test_other_recipe_defaults():
 def test_make_recipe_config_coercion_and_seed():
     cfg = make_recipe_config("epls-vs-sepca",
                              {"n_replicates": "4", "beta": "0.3",
-                              "alphas": [1.0], "sepca_components": 2},
-                             seed=99)
+                              "alphas": [1.0], "sepca_components": 2,
+                              "seed": 99})
     assert cfg.n_replicates == 4
     assert cfg.beta == 0.3
     assert cfg.alphas == (1.0,)
